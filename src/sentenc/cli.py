@@ -21,7 +21,7 @@ from .corpus import (
     read_parallel_tsv,
     write_pairs,
 )
-from .encoder import encode, build_vocabulary, init_model, load_model, save_model
+from .encoder import EncoderError, build_vocabulary, encode, init_model, load_model, save_model
 from .evalharness import EvalTask, evaluate
 from .mining import MiningStats, hashed_ngram_encoder, mine, precomputed_encoder
 from .numeric import SeededRng, _derive_seed
@@ -58,6 +58,7 @@ def cmd_mine(config: RunConfig) -> int:
     write_pairs(pairs, config.paths.pairs)
     print(f"input pairs:        {stats.input_pairs}")
     print(f"filtered survivors: {stats.kept_pairs}")
+    print(f"encoder failures:   {stats.encoder_failures}")
     print(f"groups >= 2:        {stats.groups}")
     print(f"emitted pairs:      {stats.emitted_pairs}")
     print(f"skipped lines:      {reader.skipped}")
@@ -86,13 +87,11 @@ def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
         lines = open(input_path, encoding="utf-8").read().splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read input file {input_path}: {exc}") from exc
+    vectors = encode(lines, model)
     with open(output_path, "w", encoding="utf-8", newline="\n") as out:
-        for line in lines:
-            vec = encode(line, model)
-            out.write(line.replace("\t", " "))
-            out.write("\t")
-            out.write(" ".join(repr(v) for v in vec.tolist()))
-            out.write("\n")
+        for line, vec in zip(lines, vectors):
+            text = line.replace("\t", " ")
+            out.write(f"{text}\t{' '.join(repr(v) for v in vec.tolist())}\n")
     print(f"encoded {len(lines)} sentences to {output_path}")
     return EXIT_OK
 
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (CorpusError, OSError) as exc:
+    except (CorpusError, EncoderError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -10,8 +10,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .encoder import EncoderConfig
-from .mining import MiningConfig
+from .encoder import EncoderConfig, EncoderError
+from .mining import MiningConfig, MiningError
 from .training import TrainConfig
 
 
@@ -83,7 +83,7 @@ def _build(cls, data: dict, context: str):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, EncoderError, MiningError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 

@@ -1,11 +1,11 @@
 """Trainable sentence encoder: tokenizer, embeddings, self-attention blocks,
 and four pooling strategies (cls / mean / max / LSTM last hidden state).
 
-Forward passes cache intermediates; backward passes are fully analytic and
-verified against central finite differences in the test suite. The LSTM
-pooling layer decouples the sentence embedding size from the token width:
-under lstm pooling the output has `lstm_hidden` dimensions, otherwise
-`embed_dim`.
+Layers work on padded batches `(B, T, d)` with a `(B, T)` mask of real tokens;
+padding never reaches an embedding and gets exact zero gradients. Backward
+passes are analytic and checked against central finite differences in the
+test suite. Under lstm pooling the output has `lstm_hidden` dimensions,
+otherwise `embed_dim`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .numeric import SeededRng
+from .numeric import SeededRng, softmax
 
 PAD_TOKEN, UNK_TOKEN, CLS_TOKEN = "<pad>", "<unk>", "<cls>"
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN)
@@ -28,6 +28,10 @@ PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
 POOLING_STRATEGIES = ("cls", "mean", "max", "lstm")
 
 LAYER_NORM_EPS = 1e-5
+
+# Sentences per padded batch: larger chunks pad more and hold more
+# activations at once, smaller ones take more Python steps per sentence.
+CHUNK_SIZE = 8
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -79,12 +83,19 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     return ids[:max_len]
 
 
-def embed_tokens(ids: list[int], embedding: np.ndarray) -> np.ndarray:
-    """Row lookup into the embedding matrix; one vector per token id."""
-    ids = list(ids)
-    if any(i < 0 or i >= embedding.shape[0] for i in ids):
+def embed_tokens(ids, embedding: np.ndarray) -> np.ndarray:
+    """Row lookup into the embedding matrix for an id array of any shape."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if np.any((ids < 0) | (ids >= embedding.shape[0])):
         raise EncoderError("token id out of range for embedding matrix")
     return embedding[ids]
+
+
+def _length_chunks(texts: list[str]) -> list[list[int]]:
+    """Indices of `texts` sorted by token count (stable), cut into chunks of
+    at most CHUNK_SIZE, so each padded batch holds sentences of similar length."""
+    order = sorted(range(len(texts)), key=lambda i: len(word_tokens(texts[i])))
+    return [order[i : i + CHUNK_SIZE] for i in range(0, len(order), CHUNK_SIZE)]
 
 
 @dataclass
@@ -128,7 +139,9 @@ def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> EncoderModel:
     """Seeded uniform(-a, a) init with a = sqrt(6/(fan_in+fan_out)) per matrix;
-    LSTM forget-gate bias starts at 1, all other biases at 0."""
+    LSTM forget-gate bias starts at 1, all other biases at 0. The LSTM gates
+    are row blocks i, f, o, g of `lstm.w` (4h, d+h) and `lstm.b` (4h), each
+    block drawn from its own gate sub-stream."""
     d, f, h = config.embed_dim, config.ffn_dim, config.lstm_hidden
     params: dict[str, np.ndarray] = {}
     params["embed"] = _glorot(rng.substream("embed"), len(vocab), d, (len(vocab), d))
@@ -145,11 +158,10 @@ def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> Enco
         params[f"block{b}.ln2_g"] = np.ones(d)
         params[f"block{b}.ln2_b"] = np.zeros(d)
     r = rng.substream("lstm")
-    for gate in ("i", "f", "o", "g"):
-        params[f"lstm.w{gate}"] = _glorot(
-            r.substream(gate), d + h, h, (h, d + h)
-        )
-        params[f"lstm.b{gate}"] = np.full(h, 1.0) if gate == "f" else np.zeros(h)
+    params["lstm.w"] = np.concatenate(
+        [_glorot(r.substream(gate), d + h, h, (h, d + h)) for gate in "ifog"]
+    )
+    params["lstm.b"] = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
     return EncoderModel(config, vocab, params)
 
 
@@ -177,35 +189,32 @@ def layer_norm_backward(dy: np.ndarray, cache):
     return dx, dgain, dbias
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def attention_block_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str):
+def attention_block_forward(
+    x: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray], prefix: str
+):
     """Single-head scaled dot-product attention + residual + layer norm +
-    position-wise ReLU FFN + residual + layer norm. Returns (output, cache)."""
-    d = x.shape[1]
-    wq, wk, wv, wo = (params[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
-    q, k, v = x @ wq, x @ wk, x @ wv
-    scores = (q @ k.T) / np.sqrt(d)
-    attn = _softmax_rows(scores)
-    heads = attn @ v
-    proj = heads @ wo
-    res1 = x + proj
+    position-wise ReLU FFN + residual + layer norm over a padded batch
+    x (B, T, d). Padded keys (mask False) get zero attention weight.
+    Returns (output, cache)."""
+    bsz, n, d = x.shape
+    wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
+    x2 = x.reshape(-1, d)  # position-wise layers see one row per token
+    q, k, v = ((x2 @ w).reshape(bsz, n, d) for w in (wq, wk, wv))
+    scores = (q @ k.transpose(0, 2, 1)) / np.sqrt(d)
+    attn = softmax(np.where(mask[:, None, :], scores, -np.inf))
+    heads = (attn @ v).reshape(-1, d)
+    res1 = x2 + heads @ wo
     norm1, ln1_cache = layer_norm_forward(
         res1, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"]
     )
     pre_act = norm1 @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
     hidden = np.maximum(pre_act, 0.0)
     ffn = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    res2 = norm1 + ffn
     out, ln2_cache = layer_norm_forward(
-        res2, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
+        norm1 + ffn, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
     )
-    cache = (x, q, k, v, attn, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
-    return out, cache
+    cache = (x2, q, k, v, attn, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
+    return out.reshape(bsz, n, d), cache
 
 
 def attention_block_backward(
@@ -216,10 +225,10 @@ def attention_block_backward(
     prefix: str,
 ) -> np.ndarray:
     x, q, k, v, attn, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache = cache
-    d = x.shape[1]
-    wq, wk, wv, wo = (params[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+    bsz, n, d = q.shape
+    wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
 
-    dres2, dg2, db2 = layer_norm_backward(dout, ln2_cache)
+    dres2, dg2, db2 = layer_norm_backward(dout.reshape(-1, d), ln2_cache)
     grads[f"{prefix}.ln2_g"] += dg2
     grads[f"{prefix}.ln2_b"] += db2
     dffn = dres2
@@ -239,174 +248,158 @@ def attention_block_backward(
     dproj = dres1
     dx = dres1.copy()
 
-    dheads = dproj @ wo.T
+    dheads = (dproj @ wo.T).reshape(bsz, n, d)
     grads[f"{prefix}.wo"] += heads.T @ dproj
-    dattn = dheads @ v.T
-    dv = attn.T @ dheads
-    # rowwise softmax Jacobian
-    dscores = attn * (dattn - (dattn * attn).sum(axis=1, keepdims=True))
-    dq = (dscores @ k) / np.sqrt(d)
-    dk = (dscores.T @ q) / np.sqrt(d)
+    dattn = dheads @ v.transpose(0, 2, 1)
+    dv = attn.transpose(0, 2, 1) @ dheads
+    # rowwise softmax Jacobian; masked keys have attn == 0 and get no gradient
+    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    dq = ((dscores @ k) / np.sqrt(d)).reshape(-1, d)
+    dk = ((dscores.transpose(0, 2, 1) @ q) / np.sqrt(d)).reshape(-1, d)
+    dv = dv.reshape(-1, d)
     dx += dq @ wq.T + dk @ wk.T + dv @ wv.T
     grads[f"{prefix}.wq"] += x.T @ dq
     grads[f"{prefix}.wk"] += x.T @ dk
     grads[f"{prefix}.wv"] += x.T @ dv
-    return dx
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    return dx.reshape(bsz, n, d)
 
 
 def lstm_forward(y: np.ndarray, params: dict[str, np.ndarray]):
-    """Unidirectional LSTM over token vectors; h_0 = c_0 = 0.
-
-    Returns (hidden_states, cell_states, cache) with one row per time step.
-    """
-    wi, wf, wo, wg = (params[f"lstm.w{g}"] for g in ("i", "f", "o", "g"))
-    bi, bf, bo, bg = (params[f"lstm.b{g}"] for g in ("i", "f", "o", "g"))
-    h_dim = wi.shape[0]
-    n = y.shape[0]
-    hs = np.zeros((n, h_dim))
-    cs = np.zeros((n, h_dim))
-    steps = []
-    h_prev = np.zeros(h_dim)
-    c_prev = np.zeros(h_dim)
+    """Unidirectional LSTM over a padded batch y (B, T, d); h_0 = c_0 = 0.
+    Steps past a sentence's length cannot reach its state at step len-1, so
+    no mask is needed. Returns (hidden_states, cell_states, cache), (B, T, h)."""
+    w, b = params["lstm.w"], params["lstm.b"]
+    bsz, n, d = y.shape
+    h_dim = w.shape[0] // 4
+    wh = w[:, d:].T
+    # gate pre-activations, then activations in place: i, f, o, g row blocks
+    gates = y.reshape(-1, d) @ w[:, :d].T
+    gates += b
+    gates = gates.reshape(bsz, n, 4 * h_dim)
+    hs = np.zeros((bsz, n, h_dim))
+    cs = np.zeros((bsz, n, h_dim))
+    h = c = np.zeros((bsz, h_dim))
     for t in range(n):
-        z = np.concatenate([y[t], h_prev])
-        i = _sigmoid(wi @ z + bi)
-        f = _sigmoid(wf @ z + bf)
-        o = _sigmoid(wo @ z + bo)
-        g = np.tanh(wg @ z + bg)
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        hs[t], cs[t] = h, c
-        steps.append((z, i, f, o, g, c_prev, tanh_c))
-        h_prev, c_prev = h, c
-    return hs, cs, steps
+        a = gates[:, t]
+        a += h @ wh
+        a[:, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-a[:, : 3 * h_dim]))  # sigmoid
+        a[:, 3 * h_dim :] = np.tanh(a[:, 3 * h_dim :])
+        i, f, o, g = np.split(a, 4, axis=1)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t], cs[:, t] = h, c
+    return hs, cs, (y, hs, cs, gates)
 
 
-def lstm_backward(
-    dh_last: np.ndarray,
-    steps,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    input_dim: int,
-) -> np.ndarray:
-    """Backprop through time with upstream gradient on the final hidden state."""
-    wi, wf, wo, wg = (params[f"lstm.w{g}"] for g in ("i", "f", "o", "g"))
-    n = len(steps)
-    dy = np.zeros((n, input_dim))
-    dh = dh_last.copy()
-    dc = np.zeros_like(dh_last)
+def lstm_backward(dh_last: np.ndarray, lengths: np.ndarray, cache, params, grads):
+    """Backprop through time. Sentence b's upstream gradient enters at its
+    step lengths[b]-1, so its padded steps get exact zero gradients."""
+    y, hs, cs, gates = cache
+    w = params["lstm.w"]
+    bsz, n, d = y.shape
+    h_dim = hs.shape[2]
+    wh = w[:, d:]
+    da = np.empty_like(gates)
+    dh = np.zeros((bsz, h_dim))
+    dc = np.zeros((bsz, h_dim))
     for t in range(n - 1, -1, -1):
-        z, i, f, o, g, c_prev, tanh_c = steps[t]
-        do = dh * tanh_c
+        ends = lengths - 1 == t
+        dh[ends] += dh_last[ends]
+        i, f, o, g = np.split(gates[:, t], 4, axis=1)
+        tanh_c = np.tanh(cs[:, t])
+        c_prev = cs[:, t - 1] if t else 0.0
         dc = dc + dh * o * (1.0 - tanh_c**2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        da_t = da[:, t]
+        da_t[:, :h_dim] = dc * g * i * (1.0 - i)
+        da_t[:, h_dim : 2 * h_dim] = dc * c_prev * f * (1.0 - f)
+        da_t[:, 2 * h_dim : 3 * h_dim] = dh * tanh_c * o * (1.0 - o)
+        da_t[:, 3 * h_dim :] = dc * i * (1.0 - g**2)
         dc = dc * f
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_o = do * o * (1.0 - o)
-        da_g = dg * (1.0 - g**2)
-        grads["lstm.wi"] += np.outer(da_i, z)
-        grads["lstm.wf"] += np.outer(da_f, z)
-        grads["lstm.wo"] += np.outer(da_o, z)
-        grads["lstm.wg"] += np.outer(da_g, z)
-        grads["lstm.bi"] += da_i
-        grads["lstm.bf"] += da_f
-        grads["lstm.bo"] += da_o
-        grads["lstm.bg"] += da_g
-        dz = wi.T @ da_i + wf.T @ da_f + wo.T @ da_o + wg.T @ da_g
-        dy[t] = dz[:input_dim]
-        dh = dz[input_dim:]
-    return dy
+        dh = da_t @ wh
+    h_prev = np.concatenate([np.zeros((bsz, 1, h_dim)), hs[:, :-1]], axis=1)
+    da = da.reshape(-1, 4 * h_dim)
+    grads["lstm.w"][:, :d] += da.T @ y.reshape(-1, d)
+    grads["lstm.w"][:, d:] += da.T @ h_prev.reshape(-1, h_dim)
+    grads["lstm.b"] += da.sum(axis=0)
+    return (da @ w[:, :d]).reshape(bsz, n, d)
 
 
 # ---------------------------------------------------------------------------
 # full encoder
 
-def pool(y: np.ndarray, strategy: str, params: dict[str, np.ndarray] | None = None):
-    """Reduce per-token vectors to one sentence vector. Returns (vector, cache)."""
+def pool(y: np.ndarray, mask: np.ndarray, strategy: str, params: dict | None = None):
+    """Reduce a padded batch of token vectors (B, T, d) to one vector per
+    sentence, looking only at real tokens. Returns (vectors, cache)."""
     if strategy == "cls":
-        return y[0].copy(), None
+        return y[:, 0].copy(), None
     if strategy == "mean":
-        return y.mean(axis=0), None
+        return (y * mask[..., None]).sum(axis=1) / mask.sum(axis=1)[:, None], None
     if strategy == "max":
-        argmax = y.argmax(axis=0)  # ties resolve to the first index
-        return y[argmax, np.arange(y.shape[1])], argmax
+        # ties resolve to the first index
+        argmax = np.where(mask[..., None], y, -np.inf).argmax(axis=1)
+        return np.take_along_axis(y, argmax[:, None, :], axis=1)[:, 0], argmax
     if strategy == "lstm":
-        if params is None:
-            raise EncoderError("lstm pooling requires LSTM parameters")
-        hs, _, steps = lstm_forward(y, params)
-        return hs[-1].copy(), steps
+        hs, _, lstm_cache = lstm_forward(y, params)
+        last = mask.sum(axis=1) - 1
+        return hs[np.arange(y.shape[0]), last], lstm_cache
     raise EncoderError(f"unknown pooling strategy {strategy!r}")
 
 
-def _forward(text: str, model: EncoderModel):
+def _forward(texts: list[str], model: EncoderModel):
+    """Encode one padded batch: tokenize -> embed -> attention blocks -> pool.
+    Returns ((B, output_dim) embeddings, cache for _backward)."""
     cfg = model.config
-    ids = tokenize(text, model.vocab, cfg.max_len)
-    x = embed_tokens(ids, model.params["embed"])
+    ids = [tokenize(text, model.vocab, cfg.max_len) for text in texts]
+    lengths = np.array([len(row) for row in ids])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.full(mask.shape, PAD_ID)
+    padded[mask] = np.concatenate(ids)
+    x = embed_tokens(padded, model.params["embed"])
     block_caches = []
     for b in range(cfg.num_blocks):
-        x, cache = attention_block_forward(x, model.params, f"block{b}")
+        x, cache = attention_block_forward(x, mask, model.params, f"block{b}")
         block_caches.append(cache)
-    emb, pool_cache = pool(x, cfg.pooling, model.params)
-    return emb, (ids, block_caches, x, pool_cache)
+    emb, pool_cache = pool(x, mask, cfg.pooling, model.params)
+    return emb, (padded, mask, block_caches, x, pool_cache)
 
 
-def encode(text: str, model: EncoderModel) -> np.ndarray:
-    """Sentence embedding: tokenize -> embed -> attention blocks -> pool."""
-    emb, _ = _forward(text, model)
-    return emb
+def encode(texts: list[str], model: EncoderModel) -> np.ndarray:
+    """Sentence embeddings (n, output_dim) in input order, computed in
+    length-sorted padded chunks so only one chunk's activations are alive."""
+    if isinstance(texts, str):
+        raise EncoderError("encode takes a list of texts, not a single str")
+    out = np.empty((len(texts), model.config.output_dim))
+    for idx in _length_chunks(texts):
+        out[idx], _ = _forward([texts[i] for i in idx], model)
+    return out
 
 
 def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
+    """Accumulate into `grads` the gradients of sum_b <demb_b, embedding_b>
+    for the batch that produced `cache`."""
     cfg = model.config
-    ids, block_caches, y, pool_cache = cache
-    n, d = y.shape
+    padded, mask, block_caches, y, pool_cache = cache
+    demb = np.asarray(demb, dtype=np.float64)
+    if demb.shape != (y.shape[0], cfg.output_dim):
+        raise EncoderError(
+            f"upstream gradient shape {demb.shape} != ({y.shape[0]}, {cfg.output_dim})"
+        )
+    lengths = mask.sum(axis=1)
     if cfg.pooling == "cls":
         dy = np.zeros_like(y)
-        dy[0] = demb
+        dy[:, 0] = demb
     elif cfg.pooling == "mean":
-        dy = np.tile(demb / n, (n, 1))
+        dy = mask[..., None] * (demb / lengths[:, None])[:, None, :]
     elif cfg.pooling == "max":
         dy = np.zeros_like(y)
-        dy[pool_cache, np.arange(d)] = demb
+        np.put_along_axis(dy, pool_cache[:, None, :], demb[:, None, :], axis=1)
     else:  # lstm
-        dy = lstm_backward(demb, pool_cache, model.params, grads, d)
+        dy = lstm_backward(demb, lengths, pool_cache, model.params, grads)
     for b in range(cfg.num_blocks - 1, -1, -1):
         dy = attention_block_backward(
             dy, block_caches[b], model.params, grads, f"block{b}"
         )
-    np.add.at(grads["embed"], ids, dy)
-
-
-def model_backward(
-    texts: list[str],
-    upstream: list[np.ndarray],
-    model: EncoderModel,
-    grads: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Analytic gradients of sum_i <upstream_i, encode(text_i)> for every
-    parameter tensor, accumulated over the batch."""
-    if len(texts) != len(upstream):
-        raise EncoderError("texts and upstream gradients differ in length")
-    if grads is None:
-        grads = model.zero_grads()
-    out_dim = model.config.output_dim
-    for text, demb in zip(texts, upstream):
-        demb = np.asarray(demb, dtype=np.float64)
-        if demb.shape != (out_dim,):
-            raise EncoderError(
-                f"upstream gradient shape {demb.shape} != ({out_dim},)"
-            )
-        _, fcache = _forward(text, model)
-        _backward(demb, fcache, model, grads)
-    return grads
+    np.add.at(grads["embed"], padded[mask], dy[mask])
 
 
 def finite_difference_grad(
@@ -454,16 +447,26 @@ def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> EncoderModel:
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    config = EncoderConfig(**doc["config"])
-    vocab = Vocabulary.from_tokens(doc["vocab"])
-    params = {
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
-    model = EncoderModel(config, vocab, params)
+    """Read a checkpoint written by save_model. Raises EncoderError for a
+    malformed document, or unless its tensor names and shapes are exactly
+    those init_model makes for the stored config and vocabulary."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        config = EncoderConfig(**doc["config"])
+        vocab = Vocabulary.from_tokens(doc["vocab"])
+        # the reference model is freed before the stored tensors are built
+        expected = {n: t.shape for n, t in init_model(config, vocab, SeededRng(0)).params.items()}
+        params = {
+            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in doc["params"].items()
+        }
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError included
+        raise EncoderError(f"malformed checkpoint {path}: {exc}") from exc
+    diff = set(expected.items()) ^ {(n, t.shape) for n, t in params.items()}
+    if diff:
+        raise EncoderError(f"checkpoint {path}: tensors differ from the config: {sorted(diff)}")
     for tensor in params.values():
         if not np.all(np.isfinite(tensor)):
             raise EncoderError(f"non-finite parameters in checkpoint {path}")
-    return model
+    return EncoderModel(config, vocab, params)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import EvalRecord
 from .encoder import EncoderModel, encode
-from .numeric import SeededRng
+from .numeric import SeededRng, softmax
 from .training import OptimizerState, TrainConfig, adamw_step, lr_schedule
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -66,23 +66,19 @@ class EvalResult:
     l2: float
 
 
-def featurize(record: EvalRecord, model: EncoderModel) -> np.ndarray:
-    if len(record.sentences) == 1:
-        return encode(record.sentences[0], model)
-    u = encode(record.sentences[0], model)
-    v = encode(record.sentences[1], model)
-    return np.concatenate([u, v, np.abs(u - v), u * v])
+def featurize(records: list[EvalRecord], model: EncoderModel) -> np.ndarray:
+    """One feature row per record: the embedding for single-sentence records,
+    [u; v; |u - v|; u * v] for pairs."""
+    u = encode([r.sentences[0] for r in records], model)
+    if all(len(r.sentences) == 1 for r in records):
+        return u
+    v = encode([r.sentences[1] for r in records], model)
+    return np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
 
 
 def _probe_forward(probe: ProbeModel, x: np.ndarray):
     hidden = np.tanh(x @ probe.w1 + probe.b1)
     return hidden, hidden @ probe.w2 + probe.b2
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def train_probe(
@@ -138,7 +134,7 @@ def train_probe(
     for step in range(1, iterations + 1):
         hidden_act, out = _probe_forward(probe, x)
         if kind == "classification":
-            probs = _softmax(out)
+            probs = softmax(out)
             dout = probs.copy()
             dout[np.arange(n), y_idx] -= 1.0
             dout /= n
@@ -248,7 +244,7 @@ def evaluate(
     """Select L2 strength on the validation split, retrain on train, report
     the test metric. The encoder is frozen throughout."""
     feats = {
-        name: np.stack([featurize(r, model) for r in split])
+        name: featurize(split, model)
         for name, split in (
             ("train", task.train),
             ("validation", task.validation),

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .corpus import AlignedPair, CorpusError, ParaphrasePair, normalize
-from .numeric import SeededRng, cosine_similarity
+from .numeric import NumericError, SeededRng, cosine_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -141,14 +141,16 @@ def filter_pairs(
 ) -> Iterator[AlignedPair]:
     """Keep pairs whose cross-lingual embedding cosine is >= threshold.
 
-    Encoder failures on noisy lines are skipped and tallied, not fatal.
+    Encoder failures on noisy lines (MiningError, or NumericError for a
+    zero or mismatched vector) are skipped and tallied, not fatal; any other
+    exception is a bug and propagates.
     """
     for pair in pairs:
         if stats is not None:
             stats.input_pairs += 1
         try:
             sim = cosine_similarity(enc(pair.source), enc(pair.target))
-        except Exception:
+        except (MiningError, NumericError):
             if stats is not None:
                 stats.encoder_failures += 1
             continue

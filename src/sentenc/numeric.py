@@ -1,4 +1,5 @@
-"""Deterministic numeric kernel: cosine similarity, stable log-sum-exp, seeded RNG.
+"""Deterministic numeric kernel: cosine similarity, stable log-sum-exp and
+softmax, seeded RNG.
 
 All arithmetic is float64. The RNG is PCG64, a fixed platform-independent
 generator; named sub-streams let each pipeline stage (mining, training,
@@ -8,19 +9,35 @@ probe init) draw from its own independent stream derived from one master seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, TypeVar
+import math
+from typing import Iterable, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
 class NumericError(ValueError):
     """Invalid input to a numeric kernel operation."""
 
 
+def _square_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v, v @ v), with v first scaled by its max-abs entry when v @ v is not
+    a normal float: a square that underflows to a subnormal loses precision."""
+    vv = float(v @ v)
+    if _TINY <= vv < math.inf:
+        return v, vv
+    scale = float(np.max(np.abs(v), initial=0.0))
+    if scale == 0.0:
+        raise NumericError("zero-norm vector in cosine_similarity")
+    v = v / scale
+    return v, float(v @ v)
+
+
 def cosine_similarity(x, y) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
+    """Cosine of the angle between two vectors, clipped to [-1, 1].
 
     Raises NumericError on dimension mismatch or a zero-norm input; a zero
     embedding signals an upstream bug and must not be silently absorbed.
@@ -31,20 +48,27 @@ def cosine_similarity(x, y) -> float:
         raise NumericError("cosine_similarity expects 1-d vectors")
     if x.shape != y.shape:
         raise NumericError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise NumericError("zero-norm vector in cosine_similarity")
-    return float(np.dot(x, y) / (nx * ny))
+    x, xx = _square_norm(x)
+    y, yy = _square_norm(y)
+    cos = float(x @ y) / (math.sqrt(xx) * math.sqrt(yy))
+    return math.copysign(1.0, cos) if abs(cos) > 1.0 else cos
 
 
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) computed with the max-shift trick; never overflows."""
+def logsumexp(v):
+    """log(sum(exp(v))) over the last axis with the max-shift trick; never
+    overflows. A float for a vector, an array of row values otherwise."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise NumericError("logsumexp of empty vector")
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+    m = v.max(axis=-1, keepdims=True)
+    out = m[..., 0] + np.log(np.sum(np.exp(v - m), axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-shifted so it never overflows."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _derive_seed(seed: int, name: str) -> int:
@@ -80,7 +104,3 @@ class SeededRng:
 
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
-
-
-def shuffle(items: Sequence[T], rng: SeededRng) -> list[T]:
-    return rng.shuffle(items)

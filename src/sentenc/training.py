@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParaphrasePair
-from .encoder import EncoderModel, _backward, _forward
-from .numeric import SeededRng, logsumexp
+from .encoder import EncoderModel, _backward, _forward, _length_chunks
+from .numeric import SeededRng, logsumexp, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -49,14 +49,6 @@ class TrainConfig:
 
 
 @dataclass
-class TrainBatch:
-    anchor_texts: list[str]
-    positive_texts: list[str]
-    anchors: np.ndarray  # K x dim
-    positives: np.ndarray  # K x dim
-
-
-@dataclass
 class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -75,14 +67,16 @@ class StepRecord:
     loss: float
 
 
-def similarity_matrix(batch: TrainBatch, temperature: float = 1.0) -> np.ndarray:
-    """K x K matrix of cosine(anchor_i, positive_j) / temperature."""
-    a, b = batch.anchors, batch.positives
+def similarity_matrix(a: np.ndarray, b: np.ndarray, temperature: float = 1.0):
+    """K x K matrix of cosine(a_i, b_j) / temperature for anchors a and
+    positives b. Returns (matrix, cache); the cache holds the unit rows and
+    norms of both sides, which the gradient of the matrix needs."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DivergenceError("zero-norm sentence embedding in batch")
-    return ((a / na[:, None]) @ (b / nb[:, None]).T) / temperature
+    an, bn = a / na[:, None], b / nb[:, None]
+    return (an @ bn.T) / temperature, (an, na, bn, nb)
 
 
 def mnr_loss(s: np.ndarray) -> float:
@@ -91,8 +85,7 @@ def mnr_loss(s: np.ndarray) -> float:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("similarity matrix must be square")
-    k = s.shape[0]
-    return float(sum(logsumexp(s[i]) - s[i, i] for i in range(k)) / k)
+    return float(np.sum(logsumexp(s) - np.diag(s)) / s.shape[0])
 
 
 def mnr_loss_grad(s: np.ndarray) -> np.ndarray:
@@ -101,10 +94,7 @@ def mnr_loss_grad(s: np.ndarray) -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("similarity matrix must be square")
     k = s.shape[0]
-    shifted = s - s.max(axis=1, keepdims=True)
-    softmax = np.exp(shifted)
-    softmax /= softmax.sum(axis=1, keepdims=True)
-    return (softmax - np.eye(k)) / k
+    return (softmax(s) - np.eye(k)) / k
 
 
 def adamw_step(
@@ -204,51 +194,33 @@ def batches_per_epoch(n_pairs: int, k: int) -> int:
     return n_batches
 
 
-def encode_batch(
-    pairs: list[ParaphrasePair], model: EncoderModel
-) -> tuple[TrainBatch, list, list]:
-    anchors, positives, a_caches, b_caches = [], [], [], []
-    for pair in pairs:
-        emb, cache = _forward(pair.a, model)
-        anchors.append(emb)
-        a_caches.append(cache)
-        emb, cache = _forward(pair.b, model)
-        positives.append(emb)
-        b_caches.append(cache)
-    batch = TrainBatch(
-        [p.a for p in pairs],
-        [p.b for p in pairs],
-        np.stack(anchors),
-        np.stack(positives),
-    )
-    return batch, a_caches, b_caches
-
-
 def batch_loss_and_grads(
     pairs: list[ParaphrasePair], model: EncoderModel, temperature: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss of one batch plus analytic parameter gradients through both towers."""
-    batch, a_caches, b_caches = encode_batch(pairs, model)
-    s = similarity_matrix(batch, temperature)
-    loss = mnr_loss(s)
-    ds = mnr_loss_grad(s)
+    """Loss of one batch plus analytic parameter gradients through both towers.
 
-    a, b = batch.anchors, batch.positives
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    an = a / na[:, None]
-    bn = b / nb[:, None]
+    All 2K texts go through the encoder in length-sorted padded chunks."""
+    k = len(pairs)
+    texts = [p.a for p in pairs] + [p.b for p in pairs]
+    emb = np.empty((2 * k, model.config.output_dim))
+    caches = []
+    for idx in _length_chunks(texts):
+        emb[idx], cache = _forward([texts[i] for i in idx], model)
+        caches.append((idx, cache))
+    s, (an, na, bn, nb) = similarity_matrix(emb[:k], emb[k:], temperature)
+    loss = mnr_loss(s)
+    ds = mnr_loss_grad(s) / temperature
+
     cos = an @ bn.T
     # d cos(a_i, b_j) / d a_i = (b_j/|b_j| - cos * a_i/|a_i|) / |a_i|
     da = (ds @ bn - (ds * cos).sum(axis=1, keepdims=True) * an) / na[:, None]
     db = (ds.T @ an - (ds * cos).sum(axis=0)[:, None] * bn) / nb[:, None]
-    da /= temperature
-    db /= temperature
+    demb = np.concatenate([da, db])
 
     grads = model.zero_grads()
-    for i in range(len(pairs)):
-        _backward(da[i], a_caches[i], model, grads)
-        _backward(db[i], b_caches[i], model, grads)
+    while caches:  # drop each chunk's activations once its gradients are in
+        idx, cache = caches.pop(0)
+        _backward(demb[idx], cache, model, grads)
     return loss, grads
 
 

@@ -36,7 +36,6 @@ from sentenc.synthetic import make_clustered_corpus
 from sentenc.training import (
     TrainConfig,
     batch_loss_and_grads,
-    encode_batch,
     mnr_loss,
     mnr_loss_grad,
     similarity_matrix,
@@ -81,8 +80,8 @@ def test_criterion_1_gradient_correctness():
         _, analytic = batch_loss_and_grads(pairs, model, 1.0)
 
         def loss_fn(m):
-            batch, _, _ = encode_batch(pairs, m)
-            return mnr_loss(similarity_matrix(batch, 1.0))
+            a, b = encode([p.a for p in pairs], m), encode([p.b for p in pairs], m)
+            return mnr_loss(similarity_matrix(a, b, 1.0)[0])
 
         numeric = finite_difference_grad(loss_fn, model, 1e-5)
         worst = 0.0
@@ -217,8 +216,8 @@ def test_criterion_5_end_to_end_training():
     correct = total = 0
     for i in range(0, len(heldout) - 15, 16):
         chunk = heldout[i : i + 16]
-        a = np.stack([encode(p.a, model) for p in chunk])
-        b = np.stack([encode(p.b, model) for p in chunk])
+        a = encode([p.a for p in chunk], model)
+        b = encode([p.b for p in chunk], model)
         sims = (a / np.linalg.norm(a, axis=1, keepdims=True)) @ (
             b / np.linalg.norm(b, axis=1, keepdims=True)
         ).T
@@ -238,11 +237,11 @@ def test_criterion_6_dimension_independence():
     for hidden in (64, 128, 256):
         cfg = EncoderConfig(embed_dim=32, ffn_dim=32, pooling="lstm", lstm_hidden=hidden)
         model = init_model(cfg, vocab, SeededRng(1).substream("init"))
-        assert encode(TOY_TEXTS[0], model).shape == (hidden,)
+        assert encode([TOY_TEXTS[0]], model).shape == (1, hidden)
     for pooling in ("cls", "mean", "max"):
         cfg = EncoderConfig(embed_dim=32, ffn_dim=32, pooling=pooling, lstm_hidden=64)
         model = init_model(cfg, vocab, SeededRng(1).substream("init"))
-        assert encode(TOY_TEXTS[0], model).shape == (32,)
+        assert encode([TOY_TEXTS[0]], model).shape == (1, 32)
     report(6, True, "lstm output dim in {64,128,256}; cls/mean/max dim 32")
 
 
@@ -338,11 +337,11 @@ def test_criterion_8_checkpoint_fidelity(tmp_path):
     sentences = [
         " ".join(rng.shuffle(words)[: 3 + rng.integers(0, 4)]) for _ in range(100)
     ]
-    before = [encode(s, model) for s in sentences]
+    before = encode(sentences, model)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    after = [encode(s, loaded) for s in sentences]
+    after = encode(sentences, loaded)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     report(8, True, "100 random sentences bit-exact after save/load")
 
@@ -355,7 +354,7 @@ def test_criterion_9_eval_harness_sanity():
 
     # labels are a deterministic function of one embedding coordinate
     sentences = [f"word{i % 30} word{(i * 7) % 30} word{(i * 13) % 30}" for i in range(150)]
-    values = np.array([encode(s, model)[0] for s in sentences])
+    values = encode(sentences, model)[:, 0]
     median = float(np.median(values))
     records = [
         EvalRecord("hi" if v > median else "lo", (s,))

@@ -57,6 +57,7 @@ class TestMineCommand:
         out = capsys.readouterr().out
         assert "input pairs:        12" in out
         assert "filtered survivors: 12" in out
+        assert "encoder failures:   0" in out
         assert "groups >= 2:        3" in out
         assert "emitted pairs:      6" in out
         assert len(read_pairs(fixture_corpus / "pairs.tsv")) == 6
@@ -71,9 +72,20 @@ class TestMineCommand:
         assert main(["mine", "--config", str(config)]) == 1
         assert "corpus.tsv" in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_2(self, fixture_corpus, capsys):
-        config = write_config(fixture_corpus, mining={"thresold": 0.5})
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"mining": {"thresold": 0.5}},
+            {"encoder": {"pooling": "bogus"}},
+            {"mining": {"threshold": -1}},
+        ],
+        ids=["unknown_key", "bogus_pooling", "negative_threshold"],
+    )
+    def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override):
+        config = write_config(fixture_corpus, **override)
         assert main(["mine", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestTrainCommand:
@@ -157,6 +169,56 @@ class TestEncodeCommand:
                 str(fixture_corpus / "o.tsv"),
             ]
         ) == 1
+
+
+def _truncate(doc, text):
+    return text[: len(text) // 2]
+
+
+def _per_gate_lstm(doc, text):
+    """The layout before the gates were fused: lstm.w{i,f,o,g}, lstm.b{i,f,o,g}."""
+    params = doc["params"]
+    h = params["lstm.b"]["shape"][0] // 4
+    w, b = params.pop("lstm.w"), params.pop("lstm.b")
+    row = w["shape"][1]
+    for k, gate in enumerate("ifog"):
+        data = w["data"][k * h * row : (k + 1) * h * row]
+        params[f"lstm.w{gate}"] = {"shape": [h, row], "data": data}
+        params[f"lstm.b{gate}"] = {"shape": [h], "data": b["data"][k * h : (k + 1) * h]}
+    return json.dumps(doc)
+
+
+def _short_embed(doc, text):
+    embed = doc["params"]["embed"]
+    rows, dim = embed["shape"]
+    doc["params"]["embed"] = {"shape": [rows - 1, dim], "data": embed["data"][dim:]}
+    return json.dumps(doc)
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_truncate, _per_gate_lstm, _short_embed],
+        ids=["truncated_json", "per_gate_lstm", "wrong_embed_shape"],
+    )
+    def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = fixture_corpus / "model.json"
+        text = checkpoint.read_text(encoding="utf-8")
+        checkpoint.write_text(corrupt(json.loads(text), text), encoding="utf-8")
+        inp = fixture_corpus / "input.txt"
+        inp.write_text("target 0 variant 1\n")
+        argv = [command, "--config", str(config)]
+        if command == "encode":
+            argv += ["--input", str(inp), "--output", str(fixture_corpus / "o.tsv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
 class TestEvalCommand:

@@ -58,20 +58,20 @@ class TestFeaturize:
     def test_pair_dimension_is_4x(self):
         model = small_encoder()
         rec = EvalRecord("x", ("word1 word2", "word3"))
-        assert featurize(rec, model).shape == (32,)
+        assert featurize([rec], model).shape == (1, 32)
 
     def test_identical_pair_has_zero_abs_diff_block(self):
         model = small_encoder()
         rec = EvalRecord("x", ("word1 word2", "word1 word2"))
-        feats = featurize(rec, model)
-        assert np.all(feats[16:24] == 0.0)
+        feats = featurize([rec], model)
+        assert np.all(feats[0, 16:24] == 0.0)
 
     def test_single_is_embedding_verbatim(self):
         from sentenc.encoder import encode
 
         model = small_encoder()
         rec = EvalRecord("x", ("word5 word6",))
-        assert np.array_equal(featurize(rec, model), encode("word5 word6", model))
+        assert np.array_equal(featurize([rec], model), encode(["word5 word6"], model))
 
 
 class TestAccuracy:
@@ -187,7 +187,7 @@ def coordinate_task(model, n=120, coord=0):
     from sentenc.encoder import encode
 
     sentences = [f"word{i % 30} word{(i * 7) % 30} word{(i * 13) % 30}" for i in range(n)]
-    values = np.array([encode(s, model)[coord] for s in sentences])
+    values = encode(sentences, model)[:, coord]
     median = float(np.median(values))
     spread = values.std()
     records = []
@@ -211,8 +211,8 @@ class TestEvaluate:
         model = small_encoder(seed=11)
         task = coordinate_task(model)
         r1 = evaluate(model, task, lambda_grid=[1e-3], seed=3)
-        feats_train = np.stack([featurize(r, model) for r in task.train])
-        feats_test = np.stack([featurize(r, model) for r in task.test])
+        feats_train = featurize(task.train, model)
+        feats_test = featurize(task.test, model)
         probe = train_probe(
             feats_train, [r.label for r in task.train], "classification", 64, 1e-3, 3
         )

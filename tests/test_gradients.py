@@ -6,14 +6,15 @@ import pytest
 from sentenc.corpus import ParaphrasePair
 from sentenc.encoder import (
     EncoderConfig,
+    _backward,
+    _forward,
     build_vocabulary,
     encode,
     finite_difference_grad,
     init_model,
-    model_backward,
 )
 from sentenc.numeric import SeededRng
-from sentenc.training import batch_loss_and_grads, encode_batch, mnr_loss, similarity_matrix
+from sentenc.training import batch_loss_and_grads, mnr_loss, similarity_matrix
 
 TEXTS = ["the cat sat", "a dog ran fast", "birds fly high", "fish swim deep"]
 
@@ -67,7 +68,8 @@ class TestFiniteDifferenceOracle:
 class TestModelBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model("lstm")
-        grads = model_backward(TEXTS[:2], [np.zeros(16), np.zeros(16)], model)
+        grads = model.zero_grads()
+        _backward(np.zeros((2, 16)), _forward(TEXTS[:2], model)[1], model, grads)
         for g in grads.values():
             assert np.all(g == 0.0)
 
@@ -75,16 +77,18 @@ class TestModelBackward:
         model = tiny_model("mean")
         from sentenc.encoder import EncoderError
 
+        _, cache = _forward([TEXTS[0]], model)
         with pytest.raises(EncoderError):
-            model_backward([TEXTS[0]], [np.zeros(5)], model)
+            _backward(np.zeros((1, 5)), cache, model, model.zero_grads())
 
     def test_embedding_gradient_matches_finite_differences(self):
         model = tiny_model("mean", seed=9)
         upstream = SeededRng(1).uniform(-1, 1, 8)
-        grads = model_backward([TEXTS[0]], [upstream], model)
+        grads = model.zero_grads()
+        _backward(upstream[None], _forward([TEXTS[0]], model)[1], model, grads)
 
         def loss_fn(m):
-            return float(np.dot(upstream, encode(TEXTS[0], m)))
+            return float(np.dot(upstream, encode([TEXTS[0]], m)[0]))
 
         fd = finite_difference_grad(loss_fn, model, 1e-5)
         assert max_relative_error(grads, fd) < 1e-4
@@ -107,8 +111,8 @@ class TestFullLossGradient:
         _, analytic = batch_loss_and_grads(pairs, model, 1.0)
 
         def loss_fn(m):
-            batch, _, _ = encode_batch(pairs, m)
-            return mnr_loss(similarity_matrix(batch, 1.0))
+            a, b = encode([p.a for p in pairs], m), encode([p.b for p in pairs], m)
+            return mnr_loss(similarity_matrix(a, b, 1.0)[0])
 
         fd = finite_difference_grad(loss_fn, model, 1e-5)
         assert max_relative_error(analytic, fd) < 1e-3

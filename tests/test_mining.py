@@ -108,12 +108,21 @@ class TestFilterPairs:
 
     def test_encoder_failure_tallied(self):
         def broken(text):
-            raise RuntimeError("boom")
+            raise MiningError("boom")
 
         stats = MiningStats()
         out = list(filter_pairs([AlignedPair("a", "b")], broken, 0.0, stats))
         assert out == []
         assert stats.encoder_failures == 1
+
+    def test_encoder_bug_propagates(self):
+        def buggy(text):
+            return {}["missing"]
+
+        stats = MiningStats()
+        with pytest.raises(KeyError):
+            list(filter_pairs([AlignedPair("a", "b")], buggy, 0.0, stats))
+        assert stats.encoder_failures == 0
 
 
 class TestGroupBySource:
