@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numeric divergence.
 Every command is deterministic given (config, seed); the master seed feeds
-each stage through a named sub-stream, so --threads never changes outputs
-(work is executed in a fixed serial order regardless of the cap).
+each stage through a named sub-stream. --threads is accepted but unused: all
+work runs serially in one process.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .corpus import (
     write_pairs,
 )
 from .encoder import EncoderError, build_vocabulary, encode, init_model, load_model, save_model
-from .evalharness import EvalTask, evaluate
+from .evalharness import EvalError, EvalTask, evaluate
 from .mining import MiningStats, hashed_ngram_encoder, mine, precomputed_encoder
 from .numeric import SeededRng, _derive_seed
 from .training import DivergenceError, train, write_loss_csv
@@ -53,8 +53,8 @@ def cmd_mine(config: RunConfig) -> int:
     reader = _corpus_reader(config)
     enc = _filter_encoder(config)
     stats = MiningStats()
-    config.mining.seed = _derive_seed(config.seed, "mine")
-    pairs = mine(reader, enc, config.mining, stats)
+    seed = _derive_seed(config.seed, "mine")
+    pairs = mine(reader, enc, config.mining, seed=seed, stats=stats)
     write_pairs(pairs, config.paths.pairs)
     print(f"input pairs:        {stats.input_pairs}")
     print(f"filtered survivors: {stats.kept_pairs}")
@@ -73,8 +73,7 @@ def cmd_train(config: RunConfig) -> int:
     vocab = build_vocabulary(texts, config.min_count)
     rng = SeededRng(config.seed).substream("init")
     model = init_model(config.encoder, vocab, rng)
-    config.training.seed = _derive_seed(config.seed, "train")
-    history = train(pairs, model, config.training)
+    history = train(pairs, model, config.training, _derive_seed(config.seed, "train"))
     save_model(model, config.paths.checkpoint)
     write_loss_csv(history, config.paths.loss_csv)
     print(f"trained {len(history)} steps; checkpoint at {config.paths.checkpoint}")
@@ -98,7 +97,7 @@ def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     model = load_model(config.paths.checkpoint)
-    seed = _derive_seed(config.seed, "probe") % 2**64
+    seed = _derive_seed(config.seed, "probe")
     rows = []
     for task_cfg in config.eval.tasks:
         task = EvalTask(
@@ -138,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
+        p.add_argument(
+            "--threads", type=int, default=1, help="accepted but unused: work runs serially"
+        )
         if name == "encode":
             p.add_argument("--input", required=True, help="one sentence per line")
             p.add_argument("--output", required=True, help="embeddings TSV")
@@ -148,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_run_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
+        config = load_run_config(args.config, args.seed)
         if args.command == "mine":
             return cmd_mine(config)
         if args.command == "train":
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (CorpusError, EncoderError, OSError) as exc:
+    except (CorpusError, EncoderError, EvalError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,17 +1,21 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
-Unknown keys are rejected so typos fail loudly. All randomness flows from the
-single master seed via named sub-streams.
+Unknown keys are rejected so typos fail loudly, and values are checked at
+load, before any stage runs. All randomness flows from the single master seed
+via named sub-streams; no stage takes a seed of its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 from .encoder import EncoderConfig, EncoderError
+from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID
 from .mining import MiningConfig, MiningError
+from .numeric import check_seed
 from .training import TrainConfig
 
 
@@ -45,10 +49,12 @@ class EvalTaskConfig:
 @dataclass
 class EvalConfig:
     tasks: list[EvalTaskConfig] = field(default_factory=list)
-    lambda_grid: list[float] = field(
-        default_factory=lambda: [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-    )
-    hidden: int = 64
+    lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDA_GRID))
+    hidden: int = DEFAULT_HIDDEN
+
+    def __post_init__(self):
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must not be empty")
 
 
 @dataclass
@@ -73,21 +79,44 @@ class RunConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        check_seed(self.seed)
+        if not (isinstance(self.min_count, int) and self.min_count >= 1):
+            raise ValueError(f"min_count {self.min_count!r} must be an integer >= 1")
 
-def _build(cls, data: dict, context: str):
+
+def _build(cls, data, context: str):
+    """An instance of dataclass `cls` from a JSON object. Keys are the fields
+    of `cls`; a field whose type is a dataclass, or a list of one, is built
+    from its nested object(s) the same way."""
+    where = context or "top level"
     if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+        raise ConfigError(f"{where}: expected an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        path = f"{context}.{name}" if context else name
+        kind = hints[name]
+        if is_dataclass(kind):
+            value = _build(kind, value, path)
+        elif typing.get_origin(kind) is list and is_dataclass(typing.get_args(kind)[0]):
+            if not isinstance(value, list):
+                raise ConfigError(f"{path}: expected a list")
+            item = typing.get_args(kind)[0]
+            value = [_build(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        kwargs[name] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError, EncoderError, MiningError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_run_config(path: str | os.PathLike) -> RunConfig:
+def load_run_config(path: str | os.PathLike, seed: int | None = None) -> RunConfig:
+    """Read and check a run configuration. `seed`, when given, replaces the
+    document's master seed before any value is checked."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -95,39 +124,6 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    known = {
-        "seed",
-        "min_count",
-        "paths",
-        "mining",
-        "filter_encoder",
-        "encoder",
-        "training",
-        "eval",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-
-    eval_section = doc.get("eval", {})
-    if not isinstance(eval_section, dict):
-        raise ConfigError("eval: expected an object")
-    task_docs = eval_section.pop("tasks", [])
-    tasks = [_build(EvalTaskConfig, t, f"eval.tasks[{i}]") for i, t in enumerate(task_docs)]
-    eval_config = _build(EvalConfig, eval_section, "eval")
-    eval_config.tasks = tasks
-
-    return RunConfig(
-        seed=doc.get("seed", 0),
-        min_count=doc.get("min_count", 1),
-        paths=_build(PathsConfig, doc.get("paths", {}), "paths"),
-        mining=_build(MiningConfig, doc.get("mining", {}), "mining"),
-        filter_encoder=_build(
-            FilterEncoderConfig, doc.get("filter_encoder", {}), "filter_encoder"
-        ),
-        encoder=_build(EncoderConfig, doc.get("encoder", {}), "encoder"),
-        training=_build(TrainConfig, doc.get("training", {}), "training"),
-        eval=eval_config,
-    )
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
+    return _build(RunConfig, doc, "")

@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import EvalRecord
 from .encoder import EncoderModel, encode
 from .numeric import SeededRng, softmax
-from .training import OptimizerState, TrainConfig, adamw_step, lr_schedule
+from .training import OptimizerState, adamw_step, lr_schedule
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_HIDDEN = 64
@@ -124,13 +124,7 @@ def train_probe(
         l2=l2,
     )
     params = {"w1": probe.w1, "b1": probe.b1, "w2": probe.w2, "b2": probe.b2}
-    opt_config = TrainConfig(
-        batch_size=1, epochs=1, peak_lr=lr, weight_decay=0.0, seed=seed
-    )
-    state = OptimizerState(
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    state = OptimizerState.for_params(params)
     for step in range(1, iterations + 1):
         hidden_act, out = _probe_forward(probe, x)
         if kind == "classification":
@@ -151,7 +145,7 @@ def train_probe(
             {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2},
             state,
             step_lr,
-            opt_config,
+            weight_decay=0.0,
         )
     return probe
 

@@ -31,8 +31,6 @@ class MiningError(Exception):
 @dataclass
 class MiningConfig:
     threshold: float = 0.7
-    seed: int = 0
-    min_group_size: int = 2
 
     def __post_init__(self):
         # thresholds above 1 are allowed and simply keep nothing
@@ -145,18 +143,16 @@ def filter_pairs(
     zero or mismatched vector) are skipped and tallied, not fatal; any other
     exception is a bug and propagates.
     """
+    stats = MiningStats() if stats is None else stats
     for pair in pairs:
-        if stats is not None:
-            stats.input_pairs += 1
+        stats.input_pairs += 1
         try:
             sim = cosine_similarity(enc(pair.source), enc(pair.target))
         except (MiningError, NumericError):
-            if stats is not None:
-                stats.encoder_failures += 1
+            stats.encoder_failures += 1
             continue
         if sim >= threshold:
-            if stats is not None:
-                stats.kept_pairs += 1
+            stats.kept_pairs += 1
             yield pair
 
 
@@ -194,6 +190,7 @@ def mine(
     corpus: Iterable[AlignedPair],
     enc: FilterEncoder,
     config: MiningConfig,
+    seed: int,
     stats: MiningStats | None = None,
 ) -> list[ParaphrasePair]:
     """Full extraction: filter -> group by source -> generate -> dedup.
@@ -201,24 +198,21 @@ def mine(
     Deterministic given (corpus, encoder, seed): each group draws from a
     sub-stream keyed by its index, and final pairs are deduplicated on
     unordered identity so repeated corpus lines cannot create duplicates.
+    Only groups of at least two targets can be paired.
     """
-    rng = SeededRng(config.seed).substream("mining")
+    stats = MiningStats() if stats is None else stats
+    rng = SeededRng(seed).substream("mining")
     groups = group_by_source(filter_pairs(corpus, enc, config.threshold, stats))
-    if stats is not None:
-        stats.groups = sum(
-            1 for g in groups if len(g.targets) >= config.min_group_size
-        )
+    pairable = [(i, g) for i, g in enumerate(groups) if len(g.targets) >= 2]
+    stats.groups = len(pairable)
     seen: set[frozenset[str]] = set()
     out: list[ParaphrasePair] = []
-    for index, group in enumerate(groups):
-        if len(group.targets) < config.min_group_size:
-            continue
+    for index, group in pairable:
         for pair in generate_pairs(group, rng.substream(f"group{index}")):
             key = frozenset((pair.a, pair.b))
             if key in seen:
                 continue
             seen.add(key)
             out.append(pair)
-    if stats is not None:
-        stats.emitted_pairs = len(out)
+    stats.emitted_pairs = len(out)
     return out

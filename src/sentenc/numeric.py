@@ -71,6 +71,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def check_seed(seed) -> int:
+    """`seed` itself if it is an int in [0, 2**64). Sub-stream seeds hash the
+    seed's decimal text, so a bool or a str must not pass for a number."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise NumericError(f"seed {seed!r} must be an integer in [0, 2**64)")
+    return seed
+
+
 def _derive_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -84,9 +92,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed < 2**64:
-            raise NumericError("seed must fit in 64 unsigned bits")
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def substream(self, name: str) -> "SeededRng":

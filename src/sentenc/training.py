@@ -19,6 +19,11 @@ from .numeric import SeededRng, logsumexp, softmax
 
 logger = logging.getLogger(__name__)
 
+# Adam moment decay rates and denominator guard, shared by training and the probe
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class DivergenceError(Exception):
     """Non-finite loss or gradient; training aborted."""
@@ -31,15 +36,14 @@ class TrainConfig:
     peak_lr: float = 1e-3  # the original full-scale run used 2e-6
     warmup_ratio: float = 0.10
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     temperature: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # a batch of one pair has no in-batch negative and so zero gradient
+        if not (isinstance(self.batch_size, int) and self.batch_size >= 2):
+            raise ValueError(f"batch_size {self.batch_size!r} must be an integer >= 2")
+        if not (isinstance(self.epochs, int) and self.epochs >= 0):
+            raise ValueError(f"epochs {self.epochs!r} must be an integer >= 0")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError("warmup_ratio must be in [0, 1]")
         if self.peak_lr <= 0:
@@ -55,8 +59,11 @@ class OptimizerState:
     step: int = 0
 
     @classmethod
-    def for_model(cls, model: EncoderModel) -> "OptimizerState":
-        return cls(m=model.zero_grads(), v=model.zero_grads())
+    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+        )
 
 
 @dataclass
@@ -102,7 +109,7 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     lr: float,
-    config: TrainConfig,
+    weight_decay: float,
 ) -> None:
     """One AdamW update in place: Adam moments with bias correction plus
     decoupled weight decay."""
@@ -111,7 +118,7 @@ def adamw_step(
             raise DivergenceError("non-finite gradient; aborting optimizer step")
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
@@ -122,7 +129,7 @@ def adamw_step(
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
+        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
 
 
 def lr_schedule(step: int, total_steps: int, peak: float, warmup_ratio: float) -> float:
@@ -225,15 +232,16 @@ def batch_loss_and_grads(
 
 
 def train(
-    pairs: list[ParaphrasePair], model: EncoderModel, config: TrainConfig
+    pairs: list[ParaphrasePair], model: EncoderModel, config: TrainConfig, seed: int
 ) -> list[StepRecord]:
-    """Fine-tune the model in place; returns the per-step loss history."""
+    """Fine-tune the model in place; returns the per-step loss history.
+    `seed` decides the batch order of every epoch."""
     if config.epochs == 0:
         return []
     if not pairs:
         raise ValueError("empty training dataset")
-    rng = SeededRng(config.seed).substream("training")
-    state = OptimizerState.for_model(model)
+    rng = SeededRng(seed).substream("training")
+    state = OptimizerState.for_params(model.params)
     total_steps = config.epochs * batches_per_epoch(len(pairs), config.batch_size)
     history: list[StepRecord] = []
     step = 0
@@ -245,7 +253,7 @@ def train(
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {step}")
             lr = lr_schedule(step, total_steps, config.peak_lr, config.warmup_ratio)
-            adamw_step(model.params, grads, state, lr, config)
+            adamw_step(model.params, grads, state, lr, config.weight_decay)
             history.append(StepRecord(step, epoch, lr, loss))
     return history
 

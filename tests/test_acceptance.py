@@ -140,15 +140,15 @@ def test_criterion_3_mining_properties():
             )
             for _ in range(30)
         ]
-        low = mine(corpus, enc, MiningConfig(threshold=0.2, seed=trial))
-        high = mine(corpus, enc, MiningConfig(threshold=0.6, seed=trial))
+        low = mine(corpus, enc, MiningConfig(threshold=0.2), seed=trial)
+        high = mine(corpus, enc, MiningConfig(threshold=0.6), seed=trial)
         # every pair mineable at the higher threshold comes from a kept subset
         high_sents = {s for p in high for s in (p.a, p.b)}
         low_sents = {s for p in low for s in (p.a, p.b)}
         assert high_sents <= low_sents
 
     corpus = make_clustered_corpus(10, 4, seed=3)
-    runs = [mine(corpus, enc, MiningConfig(threshold=0.2, seed=5)) for _ in range(2)]
+    runs = [mine(corpus, enc, MiningConfig(threshold=0.2), seed=5) for _ in range(2)]
     assert runs[0] == runs[1]
     report(3, True, "coverage/count/self-pair x1000, monotonicity x100, determinism")
 
@@ -199,7 +199,7 @@ def test_criterion_5_end_to_end_training():
     start = time.time()
     corpus = make_clustered_corpus(50, 6, seed=2)
     enc = hashed_ngram_encoder(512)
-    pairs = mine(corpus, enc, MiningConfig(threshold=0.25, seed=7))
+    pairs = mine(corpus, enc, MiningConfig(threshold=0.25), seed=7)
     assert len(pairs) == 150  # ceil(6/2) pairs per cluster
 
     rng = SeededRng(13)
@@ -207,7 +207,7 @@ def test_criterion_5_end_to_end_training():
     heldout, train_pairs = shuffled[:32], shuffled[32:]
     vocab = build_vocabulary([p.a for p in pairs] + [p.b for p in pairs])
     model = init_model(EncoderConfig(), vocab, rng.substream("init"))
-    history = train(train_pairs, model, TrainConfig(batch_size=16, epochs=3, seed=5))
+    history = train(train_pairs, model, TrainConfig(batch_size=16, epochs=3), seed=5)
 
     first = np.mean([h.loss for h in history if h.epoch == 0])
     last = np.mean([h.loss for h in history if h.epoch == 2])

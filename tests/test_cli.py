@@ -73,19 +73,40 @@ class TestMineCommand:
         assert "corpus.tsv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override",
+        "override, argv, named",
         [
-            {"mining": {"thresold": 0.5}},
-            {"encoder": {"pooling": "bogus"}},
-            {"mining": {"threshold": -1}},
+            pytest.param({"mining": {"thresold": 0.5}}, [], "['thresold']", id="unknown_key"),
+            pytest.param({"encoder": {"pooling": "bogus"}}, [], "'bogus'", id="bogus_pooling"),
+            pytest.param({"mining": {"threshold": -1}}, [], "threshold", id="negative_threshold"),
+            pytest.param({"mining": {"seed": 123}}, [], "mining: unknown keys ['seed']",
+                         id="mining_seed"),
+            pytest.param({"mining": {"min_group_size": 2}}, [],
+                         "mining: unknown keys ['min_group_size']", id="min_group_size"),
+            pytest.param({"training": {"seed": 123}}, [], "training: unknown keys ['seed']",
+                         id="training_seed"),
+            pytest.param({"training": {"beta1": 0.5}}, [], "training: unknown keys ['beta1']",
+                         id="beta1"),
+            pytest.param({"training": {"beta2": 0.999}}, [],
+                         "training: unknown keys ['beta2']", id="beta2"),
+            pytest.param({"training": {"eps": 1e-8}}, [], "training: unknown keys ['eps']",
+                         id="eps"),
+            pytest.param({"seed": -5}, [], "seed -5", id="negative_seed"),
+            pytest.param({"seed": "abc"}, [], "seed 'abc'", id="string_seed"),
+            pytest.param({"seed": 2**70}, [], f"seed {2**70}", id="seed_over_64_bits"),
+            pytest.param({}, ["--seed", "-5"], "seed -5", id="negative_seed_flag"),
+            pytest.param({"eval": {"lambda_grid": []}}, [], "lambda_grid", id="empty_lambda_grid"),
+            pytest.param({"min_count": "x"}, [], "min_count 'x'", id="string_min_count"),
+            pytest.param({"training": {"batch_size": 1}}, [], "batch_size 1", id="batch_size_1"),
+            pytest.param({"training": {"epochs": -1}}, [], "epochs -1", id="negative_epochs"),
         ],
-        ids=["unknown_key", "bogus_pooling", "negative_threshold"],
     )
-    def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override):
+    def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override, argv, named):
         config = write_config(fixture_corpus, **override)
-        assert main(["mine", "--config", str(config)]) == 2
+        assert main(["mine", "--config", str(config), *argv]) == 2
         err = capsys.readouterr().err
+        assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err
 
 
 class TestTrainCommand:
@@ -258,3 +279,15 @@ class TestEvalCommand:
         assert lines[0] == "task,metric,value,lambda"
         assert lines[1].startswith("taskA,accuracy,")
         assert lines[2].startswith("taskB,spearman,")
+
+    def test_empty_split_exits_1(self, fixture_corpus, capsys):
+        task = self._write_task(fixture_corpus, "taskA")
+        (fixture_corpus / "taskA.test.tsv").write_text("", encoding="utf-8")
+        config = write_config(fixture_corpus, eval={"tasks": [task]})
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1

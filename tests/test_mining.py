@@ -188,13 +188,13 @@ class TestGeneratePairs:
 
 class TestMine:
     @staticmethod
-    def _config(threshold=0.0, seed=0):
-        return MiningConfig(threshold=threshold, seed=seed)
+    def _config(threshold=0.0):
+        return MiningConfig(threshold=threshold)
 
     def test_no_repeated_source_gives_nothing(self):
         corpus = [AlignedPair(f"s{i}", f"t{i}") for i in range(10)]
         enc = hashed_ngram_encoder(64)
-        assert mine(corpus, enc, self._config()) == []
+        assert mine(corpus, enc, self._config(), seed=0) == []
 
     def test_three_sources_four_targets_each(self):
         corpus = [
@@ -203,7 +203,7 @@ class TestMine:
             for t in range(4)
         ]
         enc = hashed_ngram_encoder(128)
-        out = mine(corpus, enc, self._config())
+        out = mine(corpus, enc, self._config(), seed=0)
         assert len(out) == 6  # ceil(4/2) per group
 
     def test_fixed_seed_is_deterministic(self):
@@ -211,14 +211,14 @@ class TestMine:
             AlignedPair(f"s{i % 5}", f"t{i}") for i in range(40)
         ]
         enc = hashed_ngram_encoder(64)
-        assert mine(corpus, enc, self._config(seed=77)) == mine(
-            corpus, enc, self._config(seed=77)
+        assert mine(corpus, enc, self._config(), seed=77) == mine(
+            corpus, enc, self._config(), seed=77
         )
 
     def test_no_self_pairs_and_dedup(self):
         corpus = [AlignedPair("s", f"t{i % 3}") for i in range(30)]
         enc = hashed_ngram_encoder(64)
-        out = mine(corpus, enc, self._config())
+        out = mine(corpus, enc, self._config(), seed=0)
         assert all(p.a != p.b for p in out)
         keys = [frozenset((p.a, p.b)) for p in out]
         assert len(keys) == len(set(keys))
@@ -231,7 +231,7 @@ class TestMine:
         ]
         enc = hashed_ngram_encoder(128)
         stats = MiningStats()
-        out = mine(corpus, enc, self._config(), stats)
+        out = mine(corpus, enc, self._config(), seed=0, stats=stats)
         assert stats.input_pairs == 12
         assert stats.kept_pairs == 12
         assert stats.groups == 4

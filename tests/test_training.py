@@ -113,29 +113,27 @@ class TestAdamW:
 
     def test_zero_grad_zero_decay_leaves_params(self):
         params, state = self._setup()
-        cfg = TrainConfig(weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, cfg)
+        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, weight_decay=0.0)
         assert params["w"].tolist() == [1.0] * 4
 
     def test_first_step_is_signed_lr(self):
         params, state = self._setup()
-        cfg = TrainConfig(weight_decay=0.0)
         g = np.array([0.5, -2.0, 1e-3, 3.0])
-        adamw_step(params, {"w": g}, state, 0.01, cfg)
+        adamw_step(params, {"w": g}, state, 0.01, weight_decay=0.0)
         expected = 1.0 - 0.01 * np.sign(g)
         assert np.allclose(params["w"], expected, atol=1e-4)
 
     def test_pure_decay(self):
         params, state = self._setup()
-        cfg = TrainConfig(weight_decay=0.5)
-        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, cfg)
+        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, weight_decay=0.5)
         assert np.allclose(params["w"], 1.0 - 0.1 * 0.5, atol=1e-15)
 
     def test_nonfinite_gradient_aborts(self):
         params, state = self._setup()
-        cfg = TrainConfig()
         with pytest.raises(DivergenceError):
-            adamw_step(params, {"w": np.array([1.0, np.nan, 0, 0])}, state, 0.1, cfg)
+            adamw_step(
+                params, {"w": np.array([1.0, np.nan, 0, 0])}, state, 0.1, weight_decay=0.01
+            )
 
 
 class TestLrSchedule:
@@ -224,7 +222,7 @@ class TestTrain:
     def test_zero_epochs_is_noop(self):
         pairs, model = self._setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        history = train(pairs, model, TrainConfig(epochs=0, batch_size=4))
+        history = train(pairs, model, TrainConfig(epochs=0, batch_size=4), seed=0)
         assert history == []
         for name in before:
             assert np.array_equal(model.params[name], before[name])
@@ -232,9 +230,9 @@ class TestTrain:
     def test_history_length_and_determinism(self):
         pairs, model_a = self._setup()
         _, model_b = self._setup()
-        cfg = TrainConfig(epochs=2, batch_size=4, seed=13)
-        hist_a = train(pairs, model_a, cfg)
-        hist_b = train(pairs, model_b, cfg)
+        cfg = TrainConfig(epochs=2, batch_size=4)
+        hist_a = train(pairs, model_a, cfg, seed=13)
+        hist_b = train(pairs, model_b, cfg, seed=13)
         assert len(hist_a) == 2 * batches_per_epoch(len(pairs), 4)
         assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
         for name in model_a.params:
@@ -242,7 +240,7 @@ class TestTrain:
 
     def test_loss_decreases_on_separable_data(self):
         pairs, model = self._setup()
-        history = train(pairs, model, TrainConfig(epochs=4, batch_size=4, seed=1))
+        history = train(pairs, model, TrainConfig(epochs=4, batch_size=4), seed=1)
         first = np.mean([h.loss for h in history if h.epoch == 0])
         last = np.mean([h.loss for h in history if h.epoch == 3])
         assert last < first
