@@ -1,6 +1,7 @@
 """Command-line surface: mine, train, encode, eval.
 
-Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numeric divergence.
+Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numeric divergence;
+each error class in `sentenc.errors` carries its own.
 Every command is deterministic given (config, seed); the master seed feeds
 each stage through a named sub-stream. --threads is accepted but unused: all
 work runs serially in one process.
@@ -12,25 +13,23 @@ import argparse
 import sys
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .corpus import (
-    CorpusError,
+    atomic_write,
     read_eval_dataset,
     read_pairs,
     read_parallel_moses,
     read_parallel_tsv,
     write_pairs,
 )
-from .encoder import EncoderError, build_vocabulary, encode, init_model, load_model, save_model
-from .evalharness import EvalError, EvalTask, evaluate
+from .encoder import build_vocabulary, encode, init_model, load_model, save_model
+from .errors import ConfigError, CorpusError, SentencError
+from .evalharness import EvalTask, evaluate
 from .mining import MiningStats, hashed_ngram_encoder, mine, precomputed_encoder
 from .numeric import SeededRng, _derive_seed
-from .training import DivergenceError, train, write_loss_csv
+from .training import train, write_loss_csv
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_CONFIG = 2
-EXIT_DIVERGENCE = 3
 
 
 def _filter_encoder(config: RunConfig):
@@ -83,11 +82,12 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
     model = load_model(config.paths.checkpoint)
     try:
-        lines = open(input_path, encoding="utf-8").read().splitlines()
+        with open(input_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise CorpusError(f"cannot read input file {input_path}: {exc}") from exc
     vectors = encode(lines, model)
-    with open(output_path, "w", encoding="utf-8", newline="\n") as out:
+    with atomic_write(output_path) as out:
         for line, vec in zip(lines, vectors):
             text = line.replace("\t", " ")
             out.write(f"{text}\t{' '.join(repr(v) for v in vec.tolist())}\n")
@@ -119,7 +119,7 @@ def cmd_eval(config: RunConfig) -> int:
         )
         rows.append(result)
         print(f"{result.task}: {result.metric}={result.value:.4f} (l2={result.l2})")
-    with open(config.paths.eval_report, "w", encoding="utf-8", newline="\n") as out:
+    with atomic_write(config.paths.eval_report) as out:
         out.write("task,metric,value,lambda\n")
         for r in rows:
             out.write(f"{r.task},{r.metric},{r.value!r},{r.l2!r}\n")
@@ -157,15 +157,12 @@ def main(argv=None) -> int:
         if args.command == "encode":
             return cmd_encode(config, args.input, args.output)
         return cmd_eval(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (CorpusError, EncoderError, EvalError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except SentencError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{SentencError.label}: {exc}", file=sys.stderr)
+        return SentencError.exit_code
 
 
 def entry() -> None:

@@ -1,37 +1,38 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
 Unknown keys are rejected so typos fail loudly, and values are checked at
-load, before any stage runs. All randomness flows from the single master seed
+load, before any stage runs: first each value against its field's type hint,
+then each section's ranges. All randomness flows from the single master seed
 via named sub-streams; no stage takes a seed of its own.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import types
 import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Literal
 
-from .encoder import EncoderConfig, EncoderError
+from .encoder import EncoderConfig
+from .errors import ConfigError, SentencError
 from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID
-from .mining import MiningConfig, MiningError
+from .mining import MIN_FILTER_DIMENSION, MiningConfig
 from .numeric import check_seed
 from .training import TrainConfig
 
 
-class ConfigError(Exception):
-    """Malformed or inconsistent run configuration."""
-
-
 @dataclass
 class FilterEncoderConfig:
-    type: str = "hashed_ngram"  # hashed_ngram | precomputed
+    type: Literal["hashed_ngram", "precomputed"] = "hashed_ngram"
     dimension: int = 512
     path: str | None = None
 
     def __post_init__(self):
-        if self.type not in ("hashed_ngram", "precomputed"):
-            raise ConfigError(f"unknown filter encoder type {self.type!r}")
+        if self.dimension < MIN_FILTER_DIMENSION:
+            raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
         if self.type == "precomputed" and not self.path:
             raise ConfigError("precomputed filter encoder needs a path")
 
@@ -39,8 +40,8 @@ class FilterEncoderConfig:
 @dataclass
 class EvalTaskConfig:
     name: str
-    kind: str
-    arity: str
+    kind: Literal["classification", "regression"]
+    arity: Literal["single", "pair"]
     train: str
     validation: str
     test: str
@@ -53,8 +54,12 @@ class EvalConfig:
     hidden: int = DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if not self.lambda_grid:
-            raise ValueError("lambda_grid must not be empty")
+        if not self.lambda_grid or min(self.lambda_grid) < 0:
+            raise ValueError(
+                f"lambda_grid {self.lambda_grid!r} must be a non-empty list of numbers >= 0"
+            )
+        if self.hidden < 1:
+            raise ValueError(f"hidden {self.hidden!r} must be >= 1")
 
 
 @dataclass
@@ -81,14 +86,44 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if not (isinstance(self.min_count, int) and self.min_count >= 1):
-            raise ValueError(f"min_count {self.min_count!r} must be an integer >= 1")
+        if self.min_count < 1:
+            raise ValueError(f"min_count {self.min_count!r} must be >= 1")
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _checked(hint, value, key: str):
+    """`value` if it has type `hint`, with nested dataclasses built. JSON
+    numbers are strict: an int field takes no bool or float, a float field
+    takes a finite int or float but no bool (Python's json reads NaN and
+    Infinity)."""
+    if is_dataclass(hint):
+        return _build(hint, value, key)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} {value!r} must be a list")
+        return [_checked(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if origin is types.UnionType:  # only `X | None` is used
+        return None if value is None else _checked(args[0], value, key)
+    if origin is Literal:
+        if value in args:
+            return value
+        expected = "one of " + ", ".join(map(repr, args))
+    else:
+        accepted = (int, float) if hint is float else hint
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            if not isinstance(value, float) or math.isfinite(value):
+                return value
+        expected = _TYPE_NAMES[hint]
+    raise ConfigError(f"{key} {value!r} must be {expected}")
 
 
 def _build(cls, data, context: str):
     """An instance of dataclass `cls` from a JSON object. Keys are the fields
-    of `cls`; a field whose type is a dataclass, or a list of one, is built
-    from its nested object(s) the same way."""
+    of `cls`, each value is checked against its type hint (see _checked), and
+    every field without a default must be present."""
     where = context or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -96,21 +131,20 @@ def _build(cls, data, context: str):
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        path = f"{context}.{name}" if context else name
-        kind = hints[name]
-        if is_dataclass(kind):
-            value = _build(kind, value, path)
-        elif typing.get_origin(kind) is list and is_dataclass(typing.get_args(kind)[0]):
-            if not isinstance(value, list):
-                raise ConfigError(f"{path}: expected a list")
-            item = typing.get_args(kind)[0]
-            value = [_build(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-        kwargs[name] = value
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    kwargs = {
+        name: _checked(hints[name], value, f"{context}.{name}" if context else name)
+        for name, value in data.items()
+    }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, EncoderError, MiningError) as exc:
+    except (ValueError, SentencError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -14,12 +14,11 @@ Readers are forward-only iterators so corpora larger than memory can be mined.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, TextIO
 
-
-class CorpusError(Exception):
-    """Unreadable file or structurally corrupted corpus."""
+from .errors import CorpusError
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,28 @@ def _sanitize(text: str) -> str:
     return normalize(text.replace("\t", " "))
 
 
-def write_pairs(pairs: Iterable[ParaphrasePair], path: str | os.PathLike) -> None:
+@contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A UTF-8, LF text handle that replaces `path` only once the block
+    completes. Text is streamed to a temp file beside `path` and moved over
+    it with os.replace; on any failure the temp file is removed, so `path`
+    holds either its old content or the whole new one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        handle = open(path, "w", encoding="utf-8", newline="\n")
+        handle = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise CorpusError(f"cannot write pairs file {path}: {exc}") from exc
-    with handle:
+        raise CorpusError(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_pairs(pairs: Iterable[ParaphrasePair], path: str | os.PathLike) -> None:
+    with atomic_write(path) as handle:
         for pair in pairs:
             handle.write(f"{_sanitize(pair.a)}\t{_sanitize(pair.b)}\n")
 

@@ -19,6 +19,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .corpus import atomic_write
+from .errors import EncoderError
 from .numeric import SeededRng, softmax
 
 PAD_TOKEN, UNK_TOKEN, CLS_TOKEN = "<pad>", "<unk>", "<cls>"
@@ -34,10 +36,6 @@ LAYER_NORM_EPS = 1e-5
 CHUNK_SIZE = 8
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-
-
-class EncoderError(Exception):
-    """Invalid encoder configuration or input."""
 
 
 def word_tokens(text: str) -> list[str]:
@@ -442,7 +440,7 @@ def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
             for name, t in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(doc, handle)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .corpus import EvalRecord
 from .encoder import EncoderModel, encode
+from .errors import EvalError
 from .numeric import SeededRng, softmax
 from .training import OptimizerState, adamw_step, lr_schedule
 
@@ -20,10 +21,6 @@ DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_HIDDEN = 64
 DEFAULT_ITERATIONS = 200
 DEFAULT_PROBE_LR = 0.02
-
-
-class EvalError(Exception):
-    """Degenerate task or metric input."""
 
 
 @dataclass
@@ -212,9 +209,10 @@ def _score(probe: ProbeModel, features: np.ndarray, records: list[EvalRecord], k
 def _select_lambda(
     train_features, train_labels, val_features, val_records, kind, grid, hidden, seed
 ):
-    """Pick the grid value with the best validation score; ties break toward
-    the smaller value. Sees only train and validation data."""
-    best_l2, best_score = None, -np.inf
+    """The probe, trained on the train split, whose grid value scores best on
+    validation; ties break toward the earlier value. Sees only train and
+    validation data."""
+    best, best_score = None, -np.inf
     for l2 in grid:
         probe = train_probe(train_features, train_labels, kind, hidden, l2, seed)
         try:
@@ -222,10 +220,10 @@ def _select_lambda(
         except EvalError:  # e.g. constant predictions under extreme l2
             score = -np.inf
         if score > best_score:
-            best_l2, best_score = l2, score
-    if best_l2 is None:
+            best, best_score = probe, score
+    if best is None:
         raise EvalError("no usable regularization candidate")
-    return best_l2
+    return best
 
 
 def evaluate(
@@ -235,8 +233,8 @@ def evaluate(
     seed: int = 0,
     hidden: int = DEFAULT_HIDDEN,
 ) -> EvalResult:
-    """Select L2 strength on the validation split, retrain on train, report
-    the test metric. The encoder is frozen throughout."""
+    """Select L2 strength on the validation split and report the test metric
+    of the probe trained with it. The encoder is frozen throughout."""
     feats = {
         name: featurize(split, model)
         for name, split in (
@@ -245,10 +243,9 @@ def evaluate(
             ("test", task.test),
         )
     }
-    train_labels = [r.label for r in task.train]
-    best_l2 = _select_lambda(
+    probe = _select_lambda(
         feats["train"],
-        train_labels,
+        [r.label for r in task.train],
         feats["validation"],
         task.validation,
         task.kind,
@@ -256,7 +253,6 @@ def evaluate(
         hidden,
         seed,
     )
-    probe = train_probe(feats["train"], train_labels, task.kind, hidden, best_l2, seed)
     value = _score(probe, feats["test"], task.test, task.kind)
     metric = "accuracy" if task.kind == "classification" else "spearman"
-    return EvalResult(task.name, metric, value, best_l2)
+    return EvalResult(task.name, metric, value, probe.l2)

@@ -15,17 +15,17 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import AlignedPair, CorpusError, ParaphrasePair, normalize
-from .numeric import NumericError, SeededRng, cosine_similarity
+from .corpus import AlignedPair, ParaphrasePair, normalize
+from .errors import CorpusError, MiningError, NumericError
+from .numeric import SeededRng, cosine_similarity
 
 logger = logging.getLogger(__name__)
 
 # text -> fixed-dimension vector; deterministic, nonzero norm for nonempty text
 FilterEncoder = Callable[[str], np.ndarray]
 
-
-class MiningError(Exception):
-    """Invalid mining configuration or encoder input."""
+# Fewest hash buckets the n-gram filter encoder accepts; also checked at config load
+MIN_FILTER_DIMENSION = 16
 
 
 @dataclass
@@ -79,8 +79,8 @@ def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
     A desk-scale stand-in for a pretrained multilingual filter model: cheap,
     deterministic, and similarity-preserving for surface-close sentences.
     """
-    if dimension < 16:
-        raise MiningError("hashed n-gram encoder needs dimension >= 16")
+    if dimension < MIN_FILTER_DIMENSION:
+        raise MiningError(f"hashed n-gram encoder needs dimension >= {MIN_FILTER_DIMENSION}")
 
     def encode(text: str) -> np.ndarray:
         vec = np.zeros(dimension, dtype=np.float64)

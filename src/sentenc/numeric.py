@@ -14,13 +14,11 @@ from typing import Iterable, TypeVar
 
 import numpy as np
 
+from .errors import NumericError
+
 T = TypeVar("T")
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
-
-
-class NumericError(ValueError):
-    """Invalid input to a numeric kernel operation."""
 
 
 def _square_norm(v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ParaphrasePair
+from .corpus import ParaphrasePair, atomic_write
 from .encoder import EncoderModel, _backward, _forward, _length_chunks
+from .errors import DivergenceError
 from .numeric import SeededRng, logsumexp, softmax
 
 logger = logging.getLogger(__name__)
@@ -23,10 +24,6 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class DivergenceError(Exception):
-    """Non-finite loss or gradient; training aborted."""
 
 
 @dataclass
@@ -40,16 +37,18 @@ class TrainConfig:
 
     def __post_init__(self):
         # a batch of one pair has no in-batch negative and so zero gradient
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 2):
-            raise ValueError(f"batch_size {self.batch_size!r} must be an integer >= 2")
-        if not (isinstance(self.epochs, int) and self.epochs >= 0):
-            raise ValueError(f"epochs {self.epochs!r} must be an integer >= 0")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size {self.batch_size!r} must be >= 2")
+        if self.epochs < 0:
+            raise ValueError(f"epochs {self.epochs!r} must be >= 0")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError("warmup_ratio must be in [0, 1]")
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay {self.weight_decay!r} must be >= 0")
 
 
 @dataclass
@@ -259,7 +258,7 @@ def train(
 
 
 def write_loss_csv(history: list[StepRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write("step,epoch,lr,loss\n")
         for rec in history:
             handle.write(f"{rec.step},{rec.epoch},{rec.lr!r},{rec.loss!r}\n")

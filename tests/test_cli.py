@@ -1,7 +1,9 @@
+import errno
 import json
 
 import pytest
 
+import sentenc.encoder
 from sentenc.cli import main
 from sentenc.corpus import read_pairs
 
@@ -48,6 +50,17 @@ def fixture_corpus(tmp_path):
     ]
     (tmp_path / "corpus.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return tmp_path
+
+
+# an eval task whose files need not exist: `mine` loads the config but not the tasks
+_TASK = {
+    "name": "t",
+    "kind": "classification",
+    "arity": "single",
+    "train": "t.train.tsv",
+    "validation": "t.validation.tsv",
+    "test": "t.test.tsv",
+}
 
 
 class TestMineCommand:
@@ -98,6 +111,32 @@ class TestMineCommand:
             pytest.param({"min_count": "x"}, [], "min_count 'x'", id="string_min_count"),
             pytest.param({"training": {"batch_size": 1}}, [], "batch_size 1", id="batch_size_1"),
             pytest.param({"training": {"epochs": -1}}, [], "epochs -1", id="negative_epochs"),
+            pytest.param({"paths": {"pairs": 1}}, [], "paths.pairs 1", id="int_path"),
+            pytest.param({"paths": {"loss_csv": True}}, [], "paths.loss_csv True", id="bool_path"),
+            pytest.param({"encoder": {"embed_dim": 2.5}}, [], "encoder.embed_dim 2.5",
+                         id="float_embed_dim"),
+            pytest.param({"filter_encoder": {"dimension": "512"}}, [],
+                         "filter_encoder.dimension '512'", id="string_dimension"),
+            pytest.param({"filter_encoder": {"dimension": 4}}, [], "dimension 4",
+                         id="small_dimension"),
+            pytest.param({"eval": {"hidden": 0}}, [], "hidden 0", id="zero_hidden"),
+            pytest.param({"eval": {"lambda_grid": ["a"]}}, [], "eval.lambda_grid[0] 'a'",
+                         id="string_lambda"),
+            pytest.param({"eval": {"lambda_grid": [-1.0]}}, [], "lambda_grid [-1.0]",
+                         id="negative_lambda"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "kind": "bogus"}]}}, [],
+                         "eval.tasks[0].kind 'bogus'", id="bogus_task_kind"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "arity": "bogus"}]}}, [],
+                         "eval.tasks[0].arity 'bogus'", id="bogus_task_arity"),
+            pytest.param({"eval": {"tasks": [{k: v for k, v in _TASK.items() if k != "test"}]}},
+                         [], "missing keys ['test']", id="task_without_test"),
+            pytest.param({"min_count": True}, [], "min_count True", id="bool_min_count"),
+            pytest.param({"training": {"temperature": float("nan")}}, [],
+                         "training.temperature nan", id="nan_temperature"),
+            pytest.param({"eval": {"lambda_grid": [float("inf")]}}, [],
+                         "eval.lambda_grid[0] inf", id="infinite_lambda"),
+            pytest.param({"training": {"weight_decay": -1.0}}, [], "weight_decay -1.0",
+                         id="negative_weight_decay"),
         ],
     )
     def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override, argv, named):
@@ -107,6 +146,19 @@ class TestMineCommand:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert named in err
+        assert not (fixture_corpus / "pairs.tsv").exists()
+
+    def test_malformed_precomputed_file_exits_1(self, fixture_corpus, capsys):
+        vectors = fixture_corpus / "vectors.tsv"
+        vectors.write_text("a sentence without a vector\n", encoding="utf-8")
+        config = write_config(
+            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+        )
+        assert main(["mine", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert "vectors.tsv:1" in err
 
 
 class TestTrainCommand:
@@ -136,6 +188,25 @@ class TestTrainCommand:
         first = (fixture_corpus / "loss.csv").read_bytes()
         assert main(["train", "--config", str(config)]) == 0
         assert (fixture_corpus / "loss.csv").read_bytes() == first
+
+    def test_failed_write_keeps_previous_artifact(self, fixture_corpus, capsys, monkeypatch):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = (fixture_corpus / "model.json").read_bytes()
+
+        def dump_then_fail(doc, handle):
+            handle.write('{"config": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sentenc.encoder.json, "dump", dump_then_fail)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert (fixture_corpus / "model.json").read_bytes() == checkpoint
+        assert list(fixture_corpus.glob("*.tmp")) == []
 
     def test_loss_row_count(self, fixture_corpus):
         config = write_config(fixture_corpus, training={"epochs": 3, "batch_size": 4})
