@@ -16,6 +16,7 @@ from . import __version__
 from .config import RunConfig, load_run_config
 from .corpus import (
     atomic_write,
+    open_input,
     read_eval_dataset,
     read_pairs,
     read_parallel_moses,
@@ -81,11 +82,8 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
     model = load_model(config.paths.checkpoint)
-    try:
-        with open(input_path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read input file {input_path}: {exc}") from exc
+    with open_input(input_path, "input file") as handle:
+        lines = handle.read().splitlines()
     vectors = encode(lines, model)
     with atomic_write(output_path) as out:
         for line, vec in zip(lines, vectors):

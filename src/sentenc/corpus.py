@@ -1,10 +1,12 @@
-"""Corpus ingestion and mined-pair serialization.
+"""Corpus ingestion and mined-pair serialization. Every data input file is
+opened through open_input, and TSV inputs are split here.
 
 Formats:
   - parallel TSV:  source<TAB>target, one aligned pair per line
   - Moses-style:   two files, line i of each aligned
   - eval TSV:      label<TAB>sentence[<TAB>sentence2]
   - mined pairs:   sentence_a<TAB>sentence_b
+  - filter vectors: sentence<TAB>v1 v2 ... vD (parsed by mining)
 
 All text is normalized at ingestion (trim, collapse internal whitespace,
 case preserved) because downstream grouping relies on exact string equality.
@@ -13,10 +15,12 @@ Readers are forward-only iterators so corpora larger than memory can be mined.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, TextIO
+from itertools import zip_longest
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 from .errors import CorpusError
 
@@ -44,85 +48,80 @@ def normalize(text: str) -> str:
     return " ".join(text.split())
 
 
-class PairReader:
-    """Forward-only stream of AlignedPair; counts skipped malformed lines."""
+def open_input(path: str | os.PathLike, what: str) -> TextIO:
+    """A UTF-8 text handle on an input file; an unreadable file is a
+    CorpusError naming `what` it was read as."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
 
-    def __init__(self):
+
+def numbered_rows(
+    path: str | os.PathLike, what: str, columns: int
+) -> Iterator[tuple[str, list[str]]]:
+    """("path:lineno", fields) for each non-blank line of a TSV file; a line
+    with other than `columns` tab-separated fields is a CorpusError."""
+    with open_input(path, what) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != columns:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected {columns} tab-separated fields, "
+                    f"got {len(fields)}"
+                )
+            yield f"{path}:{lineno}", fields
+
+
+class PairReader:
+    """Forward-only stream of AlignedPair over rows of fields. A row that
+    does not hold exactly two fields, or whose source or target normalizes
+    to empty, is skipped and counted."""
+
+    def __init__(self, rows: Iterator[Sequence[str]]):
+        self._rows = rows
         self.skipped = 0
         self.total_lines = 0
 
     def __iter__(self) -> Iterator[AlignedPair]:
-        raise NotImplementedError
-
-
-class TsvPairReader(PairReader):
-    def __init__(self, path: str | os.PathLike):
-        super().__init__()
-        self.path = path
-
-    def __iter__(self) -> Iterator[AlignedPair]:
-        try:
-            handle = open(self.path, encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read corpus file {self.path}: {exc}") from exc
-        with handle:
-            for line in handle:
-                self.total_lines += 1
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 2:
-                    self.skipped += 1
-                    continue
+        for fields in self._rows:
+            self.total_lines += 1
+            if len(fields) == 2:
                 source, target = normalize(fields[0]), normalize(fields[1])
-                if not source or not target:
-                    self.skipped += 1
+                if source and target:
+                    yield AlignedPair(source, target)
                     continue
-                yield AlignedPair(source, target)
+            self.skipped += 1
 
 
-class MosesPairReader(PairReader):
-    """Two-file aligned reader; a line-count mismatch means corrupted alignment."""
-
-    def __init__(self, source_path: str | os.PathLike, target_path: str | os.PathLike):
-        super().__init__()
-        self.source_path = source_path
-        self.target_path = target_path
-
-    def __iter__(self) -> Iterator[AlignedPair]:
-        try:
-            src = open(self.source_path, encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read {self.source_path}: {exc}") from exc
-        try:
-            tgt = open(self.target_path, encoding="utf-8")
-        except OSError as exc:
-            src.close()
-            raise CorpusError(f"cannot read {self.target_path}: {exc}") from exc
-        sentinel = object()
-        with src, tgt:
-            while True:
-                s = next(src, sentinel)
-                t = next(tgt, sentinel)
-                if s is sentinel and t is sentinel:
-                    return
-                if s is sentinel or t is sentinel:
-                    raise CorpusError(
-                        f"line-count mismatch between {self.source_path} "
-                        f"and {self.target_path}"
-                    )
-                self.total_lines += 1
-                source, target = normalize(s), normalize(t)
-                if not source or not target:
-                    self.skipped += 1
-                    continue
-                yield AlignedPair(source, target)
+def _tsv_rows(path: str | os.PathLike, what: str) -> Iterator[list[str]]:
+    with open_input(path, what) as handle:
+        for line in handle:
+            yield line.rstrip("\n").split("\t")
 
 
-def read_parallel_tsv(path: str | os.PathLike) -> TsvPairReader:
-    return TsvPairReader(path)
+def _moses_rows(source_path, target_path) -> Iterator[tuple[str, str]]:
+    # a line-count mismatch means corrupted alignment
+    with (
+        open_input(source_path, "corpus file") as src,
+        open_input(target_path, "corpus file") as tgt,
+    ):
+        for source, target in zip_longest(src, tgt):
+            if source is None or target is None:
+                raise CorpusError(
+                    f"line-count mismatch between {source_path} and {target_path}"
+                )
+            yield source, target
 
 
-def read_parallel_moses(source_path, target_path) -> MosesPairReader:
-    return MosesPairReader(source_path, target_path)
+def read_parallel_tsv(path: str | os.PathLike) -> PairReader:
+    return PairReader(_tsv_rows(path, "corpus file"))
+
+
+def read_parallel_moses(source_path, target_path) -> PairReader:
+    return PairReader(_moses_rows(source_path, target_path))
 
 
 def read_eval_dataset(
@@ -130,45 +129,26 @@ def read_eval_dataset(
     kind: Literal["classification", "regression"],
     arity: Literal["single", "pair"],
 ) -> list[EvalRecord]:
-    if kind not in ("classification", "regression"):
-        raise CorpusError(f"unknown task kind {kind!r}")
-    if arity not in ("single", "pair"):
-        raise CorpusError(f"unknown arity {arity!r}")
-    expected_cols = 2 if arity == "single" else 3
     records: list[EvalRecord] = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read eval dataset {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != expected_cols:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected {expected_cols} columns, "
-                    f"got {len(fields)}"
-                )
-            raw_label = fields[0].strip()
-            sentences = tuple(normalize(f) for f in fields[1:])
-            if any(not s for s in sentences):
-                raise CorpusError(f"{path}:{lineno}: empty sentence field")
-            label: str | float
-            if kind == "regression":
-                try:
-                    label = float(raw_label)
-                except ValueError as exc:
-                    raise CorpusError(
-                        f"{path}:{lineno}: non-numeric score {raw_label!r}"
-                    ) from exc
-                if not (label == label and abs(label) != float("inf")):
-                    raise CorpusError(f"{path}:{lineno}: non-finite score")
-            else:
-                if not raw_label:
-                    raise CorpusError(f"{path}:{lineno}: empty class label")
-                label = raw_label
-            records.append(EvalRecord(label, sentences))
+    columns = 2 if arity == "single" else 3
+    for where, fields in numbered_rows(path, "eval dataset", columns):
+        raw_label = fields[0].strip()
+        sentences = tuple(normalize(f) for f in fields[1:])
+        if not all(sentences):
+            raise CorpusError(f"{where}: empty sentence field")
+        label: str | float
+        if kind == "regression":
+            try:
+                label = float(raw_label)
+            except ValueError as exc:
+                raise CorpusError(f"{where}: non-numeric score {raw_label!r}") from exc
+            if not math.isfinite(label):
+                raise CorpusError(f"{where}: non-finite score")
+        else:
+            if not raw_label:
+                raise CorpusError(f"{where}: empty class label")
+            label = raw_label
+        records.append(EvalRecord(label, sentences))
     return records
 
 
@@ -204,6 +184,13 @@ def write_pairs(pairs: Iterable[ParaphrasePair], path: str | os.PathLike) -> Non
 
 
 def read_pairs(path: str | os.PathLike) -> list[ParaphrasePair]:
-    """Read a mined-pairs TSV written by write_pairs."""
-    reader = TsvPairReader(path)
-    return [ParaphrasePair(p.source, p.target) for p in reader]
+    """Read a mined-pairs TSV written by write_pairs. A malformed row means
+    the file was not written by write_pairs, so it is an error, not a skip."""
+    reader = PairReader(_tsv_rows(path, "pairs file"))
+    pairs = [ParaphrasePair(p.source, p.target) for p in reader]
+    if reader.skipped:
+        raise CorpusError(
+            f"{path}: {reader.skipped} of {reader.total_lines} rows are not "
+            "sentence_a<TAB>sentence_b"
+        )
+    return pairs

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import atomic_write, open_input
 from .errors import EncoderError
 from .numeric import SeededRng, softmax
 
@@ -449,7 +449,7 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
     malformed document, or unless its tensor names and shapes are exactly
     those init_model makes for the stored config and vocabulary."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open_input(path, "checkpoint") as handle:
             doc = json.load(handle)
         config = EncoderConfig(**doc["config"])
         vocab = Vocabulary.from_tokens(doc["vocab"])

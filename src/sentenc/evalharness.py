@@ -19,8 +19,8 @@ from .training import OptimizerState, adamw_step, lr_schedule
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_HIDDEN = 64
-DEFAULT_ITERATIONS = 200
-DEFAULT_PROBE_LR = 0.02
+PROBE_ITERATIONS = 200
+PROBE_LR = 0.02
 
 
 @dataclass
@@ -85,8 +85,6 @@ def train_probe(
     hidden: int = DEFAULT_HIDDEN,
     l2: float = 1e-3,
     seed: int = 0,
-    iterations: int = DEFAULT_ITERATIONS,
-    lr: float = DEFAULT_PROBE_LR,
 ) -> ProbeModel:
     """Full-batch training of a tanh-hidden-layer probe with the shared AdamW
     optimizer and linear warmup/decay schedule; L2 penalty on weight matrices.
@@ -122,7 +120,7 @@ def train_probe(
     )
     params = {"w1": probe.w1, "b1": probe.b1, "w2": probe.w2, "b2": probe.b2}
     state = OptimizerState.for_params(params)
-    for step in range(1, iterations + 1):
+    for step in range(1, PROBE_ITERATIONS + 1):
         hidden_act, out = _probe_forward(probe, x)
         if kind == "classification":
             probs = softmax(out)
@@ -136,7 +134,7 @@ def train_probe(
         dhidden = (dout @ probe.w2.T) * (1.0 - hidden_act**2)
         dw1 = x.T @ dhidden + 2.0 * l2 * probe.w1
         db1 = dhidden.sum(axis=0)
-        step_lr = lr_schedule(step, iterations, lr, 0.1)
+        step_lr = lr_schedule(step, PROBE_ITERATIONS, PROBE_LR, 0.1)
         adamw_step(
             params,
             {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2},

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus import AlignedPair, ParaphrasePair, normalize
-from .errors import CorpusError, MiningError, NumericError
+from .corpus import AlignedPair, ParaphrasePair, normalize, numbered_rows
+from .errors import MiningError, NumericError
 from .numeric import SeededRng, cosine_similarity
 
 logger = logging.getLogger(__name__)
@@ -95,32 +95,22 @@ def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
 
 
 def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
-    """Exact-lookup encoder over a TSV of `sentence<TAB>v1 v2 ... vD`."""
+    """Exact-lookup encoder over a TSV of `sentence<TAB>v1 v2 ... vD`; every
+    vector must be finite and of one dimension."""
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read embedding file {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise MiningError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            sentence = normalize(fields[0])
-            try:
-                vec = np.array([float(v) for v in fields[1].split()], dtype=np.float64)
-            except ValueError as exc:
-                raise MiningError(f"{path}:{lineno}: bad vector") from exc
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise MiningError(
-                    f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}"
-                )
-            table[sentence] = vec
+    for where, (sentence, values) in numbered_rows(path, "embedding file", 2):
+        try:
+            vec = np.array([float(v) for v in values.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise MiningError(f"{where}: bad vector") from exc
+        if not np.all(np.isfinite(vec)):
+            raise MiningError(f"{where}: non-finite value")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise MiningError(f"{where}: dimension {vec.shape[0]} != {dim}")
+        table[normalize(sentence)] = vec
 
     def encode(text: str) -> np.ndarray:
         key = normalize(text)

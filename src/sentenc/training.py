@@ -193,13 +193,6 @@ def make_batches(
     return batches
 
 
-def batches_per_epoch(n_pairs: int, k: int) -> int:
-    n_batches = math.ceil(n_pairs / k)
-    if n_batches > 1 and n_pairs % k == 1:
-        n_batches -= 1
-    return n_batches
-
-
 def batch_loss_and_grads(
     pairs: list[ParaphrasePair], model: EncoderModel, temperature: float
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -234,26 +227,27 @@ def train(
     pairs: list[ParaphrasePair], model: EncoderModel, config: TrainConfig, seed: int
 ) -> list[StepRecord]:
     """Fine-tune the model in place; returns the per-step loss history.
-    `seed` decides the batch order of every epoch."""
-    if config.epochs == 0:
-        return []
-    if not pairs:
-        raise ValueError("empty training dataset")
+    `seed` decides the batch order of every epoch. A floating-point overflow
+    or invalid operation anywhere in a step is a divergence."""
     rng = SeededRng(seed).substream("training")
+    schedule = [
+        (epoch, batch)
+        for epoch in range(config.epochs)
+        for batch in make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
+    ]
     state = OptimizerState.for_params(model.params)
-    total_steps = config.epochs * batches_per_epoch(len(pairs), config.batch_size)
     history: list[StepRecord] = []
-    step = 0
-    for epoch in range(config.epochs):
-        batches = make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
-        for batch_pairs in batches:
-            step += 1
-            loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at step {step}")
-            lr = lr_schedule(step, total_steps, config.peak_lr, config.warmup_ratio)
-            adamw_step(model.params, grads, state, lr, config.weight_decay)
-            history.append(StepRecord(step, epoch, lr, loss))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step, (epoch, batch_pairs) in enumerate(schedule, start=1):
+                loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at step {step}")
+                lr = lr_schedule(step, len(schedule), config.peak_lr, config.warmup_ratio)
+                adamw_step(model.params, grads, state, lr, config.weight_decay)
+                history.append(StepRecord(step, epoch, lr, loss))
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{exc} at step {len(history) + 1}") from exc
     return history
 
 

@@ -150,15 +150,16 @@ class TestMineCommand:
 
     def test_malformed_precomputed_file_exits_1(self, fixture_corpus, capsys):
         vectors = fixture_corpus / "vectors.tsv"
-        vectors.write_text("a sentence without a vector\n", encoding="utf-8")
         config = write_config(
             fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
         )
-        assert main(["mine", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("I/O error:") and err.count("\n") == 1
-        assert "vectors.tsv:1" in err
+        for content in ("a sentence without a vector\n", "hello\t1 nan 3\n"):
+            vectors.write_text(content, encoding="utf-8")
+            assert main(["mine", "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.startswith("I/O error:") and err.count("\n") == 1
+            assert "vectors.tsv:1" in err
 
 
 class TestTrainCommand:
@@ -207,6 +208,28 @@ class TestTrainCommand:
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert (fixture_corpus / "model.json").read_bytes() == checkpoint
         assert list(fixture_corpus.glob("*.tmp")) == []
+
+    def test_overflow_exits_3(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus, training={"peak_lr": 1e3})
+        assert main(["mine", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("training diverged:") and err.count("\n") == 1
+        assert not (fixture_corpus / "model.json").exists()
+
+    def test_malformed_pairs_row_exits_1(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus)
+        (fixture_corpus / "pairs.tsv").write_text(
+            "one a\tone b\nno tab here\ntwo a\ttwo b\n", encoding="utf-8"
+        )
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert "pairs.tsv" in err
+        assert not (fixture_corpus / "model.json").exists()
 
     def test_loss_row_count(self, fixture_corpus):
         config = write_config(fixture_corpus, training={"epochs": 3, "batch_size": 4})

@@ -77,6 +77,12 @@ class TestParallelMoses:
         with pytest.raises(CorpusError):
             list(read_parallel_moses(src, tgt))
 
+    def test_missing_target_file(self, tmp_path):
+        src = tmp_path / "s.txt"
+        src.write_text("a\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="t.txt"):
+            list(read_parallel_moses(src, tmp_path / "t.txt"))
+
     def test_blank_line_skipped(self, tmp_path):
         src = tmp_path / "s.txt"
         tgt = tmp_path / "t.txt"

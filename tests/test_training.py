@@ -12,7 +12,6 @@ from sentenc.training import (
     OptimizerState,
     TrainConfig,
     adamw_step,
-    batches_per_epoch,
     lr_schedule,
     make_batches,
     mnr_loss,
@@ -199,12 +198,6 @@ class TestMakeBatches:
             # 4 copies of one text over 2 batches: best effort leaves <= 2 per batch
             assert positives.count("same positive") <= 2
 
-    def test_batches_per_epoch_matches(self):
-        for n in (1, 2, 63, 64, 65, 130):
-            assert batches_per_epoch(n, 64) == len(
-                make_batches(self._pairs(n), 64, SeededRng(0))
-            )
-
 
 class TestTrain:
     @staticmethod
@@ -233,7 +226,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=4)
         hist_a = train(pairs, model_a, cfg, seed=13)
         hist_b = train(pairs, model_b, cfg, seed=13)
-        assert len(hist_a) == 2 * batches_per_epoch(len(pairs), 4)
+        assert len(hist_a) == 2 * len(make_batches(pairs, 4, SeededRng(0)))
         assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
         for name in model_a.params:
             assert np.array_equal(model_a.params[name], model_b.params[name])
