@@ -83,7 +83,11 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
     model = load_model(config.paths.checkpoint)
     with open_input(input_path, "input file") as handle:
-        lines = handle.read().splitlines()
+        # only "\n" ends a line: str.splitlines would also break at form
+        # feeds and U+2028, so output rows would not match input lines
+        lines = handle.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     vectors = encode(lines, model)
     with atomic_write(output_path) as out:
         for line, vec in zip(lines, vectors):

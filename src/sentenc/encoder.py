@@ -10,7 +10,9 @@ otherwise `embed_dim`.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import re
 from collections import Counter
@@ -30,6 +32,9 @@ PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
 POOLING_STRATEGIES = ("cls", "mean", "max", "lstm")
 
 LAYER_NORM_EPS = 1e-5
+
+# Version of the save_model document; load_model reads only this one.
+CHECKPOINT_FORMAT = 2
 
 # Sentences per padded batch: larger chunks pad more and hold more
 # activations at once, smaller ones take more Python steps per sentence.
@@ -135,31 +140,47 @@ def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
-def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> EncoderModel:
-    """Seeded uniform(-a, a) init with a = sqrt(6/(fan_in+fan_out)) per matrix;
-    LSTM forget-gate bias starts at 1, all other biases at 0. The LSTM gates
-    are row blocks i, f, o, g of `lstm.w` (4h, d+h) and `lstm.b` (4h), each
-    block drawn from its own gate sub-stream."""
+def param_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in checkpoint order. The
+    LSTM tensors exist only under lstm pooling; no other pooling reads them."""
     d, f, h = config.embed_dim, config.ffn_dim, config.lstm_hidden
-    params: dict[str, np.ndarray] = {}
-    params["embed"] = _glorot(rng.substream("embed"), len(vocab), d, (len(vocab), d))
+    shapes = {"embed": (vocab_size, d)}
     for b in range(config.num_blocks):
-        r = rng.substream(f"block{b}")
-        for name in ("wq", "wk", "wv", "wo"):
-            params[f"block{b}.{name}"] = _glorot(r.substream(name), d, d, (d, d))
-        params[f"block{b}.w1"] = _glorot(r.substream("w1"), d, f, (d, f))
-        params[f"block{b}.b1"] = np.zeros(f)
-        params[f"block{b}.w2"] = _glorot(r.substream("w2"), f, d, (f, d))
-        params[f"block{b}.b2"] = np.zeros(d)
-        params[f"block{b}.ln1_g"] = np.ones(d)
-        params[f"block{b}.ln1_b"] = np.zeros(d)
-        params[f"block{b}.ln2_g"] = np.ones(d)
-        params[f"block{b}.ln2_b"] = np.zeros(d)
-    r = rng.substream("lstm")
-    params["lstm.w"] = np.concatenate(
-        [_glorot(r.substream(gate), d + h, h, (h, d + h)) for gate in "ifog"]
-    )
-    params["lstm.b"] = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
+        shapes.update({f"block{b}.{m}": (d, d) for m in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"block{b}.w1": (d, f), f"block{b}.b1": (f,)})
+        shapes.update({f"block{b}.w2": (f, d), f"block{b}.b2": (d,)})
+        shapes.update({f"block{b}.{m}": (d,) for m in ("ln1_g", "ln1_b", "ln2_g", "ln2_b")})
+    if config.pooling == "lstm":
+        shapes.update({"lstm.w": (4 * h, d + h), "lstm.b": (4 * h,)})
+    return shapes
+
+
+def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> EncoderModel:
+    """Seeded uniform(-a, a) init with a = sqrt(6/(fan_in+fan_out)) per matrix,
+    each drawn from the sub-stream its dotted name spells (`block0.wq` from
+    rng/"block0"/"wq"); layer-norm gains start at 1, biases at 0. The LSTM
+    gates are row blocks i, f, o, g of `lstm.w` (4h, d+h) and `lstm.b` (4h),
+    each block drawn from its own gate sub-stream; the forget-gate bias
+    starts at 1."""
+    h = config.lstm_hidden
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config, len(vocab)).items():
+        if name == "lstm.w":
+            r = rng.substream("lstm")
+            params[name] = np.concatenate(
+                [_glorot(r.substream(gate), shape[1], h, (h, shape[1])) for gate in "ifog"]
+            )
+        elif name == "lstm.b":
+            params[name] = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
+        elif len(shape) == 2:  # (fan_in, fan_out)
+            r = rng
+            for part in name.split("."):
+                r = r.substream(part)
+            params[name] = _glorot(r, *shape, shape)
+        elif name.endswith("_g"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
     return EncoderModel(config, vocab, params)
 
 
@@ -426,17 +447,22 @@ def finite_difference_grad(
 # ---------------------------------------------------------------------------
 # checkpointing
 
+def _encode_tensor(tensor: np.ndarray) -> str:
+    return base64.b64encode(tensor.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
 def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
     """Write config, vocabulary and all parameter tensors as a JSON document.
 
-    Floats are serialized with shortest round-trip repr, so load(save(m))
-    reproduces every parameter bit-exactly.
+    Each tensor's data is the base64 of its little-endian float64 bytes, so
+    load(save(m)) reproduces every parameter bit-exactly.
     """
     doc = {
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "vocab": model.vocab.tokens,
         "params": {
-            name: {"shape": list(t.shape), "data": t.reshape(-1).tolist()}
+            name: {"shape": list(t.shape), "data": _encode_tensor(t)}
             for name, t in model.params.items()
         },
     }
@@ -444,23 +470,37 @@ def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
         json.dump(doc, handle)
 
 
+def _decode_tensor(entry: dict) -> np.ndarray:
+    shape = tuple(entry["shape"])
+    raw = base64.b64decode(entry["data"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} data bytes for shape {shape}")
+    # astype copies, so the tensor owns writable memory
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def load_model(path: str | os.PathLike) -> EncoderModel:
     """Read a checkpoint written by save_model. Raises EncoderError for a
-    malformed document, or unless its tensor names and shapes are exactly
-    those init_model makes for the stored config and vocabulary."""
+    document of another format, a malformed one, or unless its tensor names
+    and shapes are exactly those param_shapes gives for the stored config
+    and vocabulary."""
     try:
         with open_input(path, "checkpoint") as handle:
             doc = json.load(handle)
+        fmt = doc.get("format", 1)
+        if fmt != CHECKPOINT_FORMAT:
+            raise EncoderError(
+                f"checkpoint {path} has format {fmt!r}; only format "
+                f"{CHECKPOINT_FORMAT} (base64 float64 tensors) is read"
+            )
         config = EncoderConfig(**doc["config"])
         vocab = Vocabulary.from_tokens(doc["vocab"])
-        # the reference model is freed before the stored tensors are built
-        expected = {n: t.shape for n, t in init_model(config, vocab, SeededRng(0)).params.items()}
-        params = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError included
+        params = {name: _decode_tensor(entry) for name, entry in doc["params"].items()}
+    # JSONDecodeError and binascii.Error are ValueErrors; AttributeError is a
+    # document that is not a JSON object
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise EncoderError(f"malformed checkpoint {path}: {exc}") from exc
+    expected = param_shapes(config, len(vocab))
     diff = set(expected.items()) ^ {(n, t.shape) for n, t in params.items()}
     if diff:
         raise EncoderError(f"checkpoint {path}: tensors differ from the config: {sorted(diff)}")

@@ -56,6 +56,9 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    # two work buffers the size of the largest tensor, made on the first
+    # update; every tensor's update runs in views of them
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
@@ -111,24 +114,37 @@ def adamw_step(
     weight_decay: float,
 ) -> None:
     """One AdamW update in place: Adam moments with bias correction plus
-    decoupled weight decay."""
+    decoupled weight decay. Every product and quotient is written into the
+    state's two scratch buffers, in the order of
+    p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)."""
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient; aborting optimizer step")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    if state.scratch is None:
+        size = max(p.size for p in params.values())
+        state.scratch = (np.empty(size), np.empty(size))
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        s1, s2 = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        np.multiply(g, 1.0 - b2, out=s1)
+        s1 *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+        v += s1
+        np.divide(v, 1.0 - b2**t, out=s1)  # v_hat
+        np.sqrt(s1, out=s1)
+        s1 += ADAM_EPS
+        np.divide(m, 1.0 - b1**t, out=s2)  # m_hat
+        s2 /= s1
+        s2 += np.multiply(p, weight_decay, out=s1)
+        s2 *= lr
+        p -= s2
 
 
 def lr_schedule(step: int, total_steps: int, peak: float, warmup_ratio: float) -> float:
@@ -245,6 +261,7 @@ def train(
                     raise DivergenceError(f"non-finite loss at step {step}")
                 lr = lr_schedule(step, len(schedule), config.peak_lr, config.warmup_ratio)
                 adamw_step(model.params, grads, state, lr, config.weight_decay)
+                del grads  # free them before the next batch builds its own
                 history.append(StepRecord(step, epoch, lr, loss))
     except FloatingPointError as exc:
         raise DivergenceError(f"{exc} at step {len(history) + 1}") from exc

@@ -1,6 +1,8 @@
+import base64
 import errno
 import json
 
+import numpy as np
 import pytest
 
 import sentenc.encoder
@@ -272,6 +274,22 @@ class TestEncodeCommand:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rows_match_newline_separated_lines(self, fixture_corpus, trained, capsys):
+        inp = fixture_corpus / "input.txt"
+        inp.write_text("first\x0cline with\u2028breaks\nsecond line\n", encoding="utf-8")
+        out = fixture_corpus / "emb.tsv"
+        capsys.readouterr()
+        assert main(
+            ["encode", "--config", str(trained), "--input", str(inp), "--output", str(out)]
+        ) == 0
+        assert "encoded 2 sentences" in capsys.readouterr().out
+        rows = out.read_text(encoding="utf-8").split("\n")
+        assert rows[-1] == ""
+        assert [row.split("\t")[0] for row in rows[:-1]] == [
+            "first\x0cline with\u2028breaks",
+            "second line",
+        ]
+
     def test_missing_input_exits_1(self, fixture_corpus, trained):
         assert main(
             [
@@ -290,23 +308,51 @@ def _truncate(doc, text):
     return text[: len(text) // 2]
 
 
+def _floats(entry):
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+
+
+def _tensor(shape, values):
+    return {"shape": shape, "data": base64.b64encode(values.tobytes()).decode("ascii")}
+
+
 def _per_gate_lstm(doc, text):
     """The layout before the gates were fused: lstm.w{i,f,o,g}, lstm.b{i,f,o,g}."""
     params = doc["params"]
     h = params["lstm.b"]["shape"][0] // 4
     w, b = params.pop("lstm.w"), params.pop("lstm.b")
     row = w["shape"][1]
+    wdata, bdata = _floats(w), _floats(b)
     for k, gate in enumerate("ifog"):
-        data = w["data"][k * h * row : (k + 1) * h * row]
-        params[f"lstm.w{gate}"] = {"shape": [h, row], "data": data}
-        params[f"lstm.b{gate}"] = {"shape": [h], "data": b["data"][k * h : (k + 1) * h]}
+        data = wdata[k * h * row : (k + 1) * h * row]
+        params[f"lstm.w{gate}"] = _tensor([h, row], data)
+        params[f"lstm.b{gate}"] = _tensor([h], bdata[k * h : (k + 1) * h])
     return json.dumps(doc)
 
 
 def _short_embed(doc, text):
     embed = doc["params"]["embed"]
     rows, dim = embed["shape"]
-    doc["params"]["embed"] = {"shape": [rows - 1, dim], "data": embed["data"][dim:]}
+    doc["params"]["embed"] = _tensor([rows - 1, dim], _floats(embed)[dim:])
+    return json.dumps(doc)
+
+
+def _list_format(doc, text):
+    """The format-1 layout: no "format" field, data as a list of floats."""
+    del doc["format"]
+    for entry in doc["params"].values():
+        entry["data"] = _floats(entry).tolist()
+    return json.dumps(doc)
+
+
+def _wrong_byte_count(doc, text):
+    embed = doc["params"]["embed"]
+    embed["data"] = base64.b64encode(base64.b64decode(embed["data"])[:-8]).decode("ascii")
+    return json.dumps(doc)
+
+
+def _not_base64(doc, text):
+    doc["params"]["embed"]["data"] = "*" + doc["params"]["embed"]["data"][1:]
     return json.dumps(doc)
 
 
@@ -314,8 +360,15 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("command", ["encode", "eval"])
     @pytest.mark.parametrize(
         "corrupt",
-        [_truncate, _per_gate_lstm, _short_embed],
-        ids=["truncated_json", "per_gate_lstm", "wrong_embed_shape"],
+        [_truncate, _per_gate_lstm, _short_embed, _list_format, _wrong_byte_count, _not_base64],
+        ids=[
+            "truncated_json",
+            "per_gate_lstm",
+            "wrong_embed_shape",
+            "list_format",
+            "wrong_byte_count",
+            "not_base64",
+        ],
     )
     def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt):
         config = write_config(fixture_corpus)

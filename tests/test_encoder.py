@@ -20,6 +20,7 @@ from sentenc.encoder import (
     load_model,
     lstm_backward,
     lstm_forward,
+    param_shapes,
     pool,
     save_model,
     tokenize,
@@ -245,6 +246,23 @@ class TestFusedLstm:
         assert np.abs(grads["lstm.b"] - db_ref).max() <= 1e-12
 
 
+class TestParamTable:
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_no_lstm_tensors_without_lstm_pooling(self, pooling):
+        model = tiny_model(pooling=pooling)
+        reference = tiny_model(pooling="lstm")
+        assert not any(name.startswith("lstm.") for name in model.params)
+        assert set(reference.params) - set(model.params) == {"lstm.w", "lstm.b"}
+        for name, tensor in model.params.items():
+            assert np.array_equal(tensor, reference.params[name])
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
+    def test_shapes_match_init_model(self, pooling):
+        model = tiny_model(pooling=pooling, num_blocks=2)
+        shapes = param_shapes(model.config, len(model.vocab))
+        assert shapes == {name: t.shape for name, t in model.params.items()}
+
+
 MIXED = [
     "the cat sat",
     "a dog ran",
@@ -362,6 +380,12 @@ class TestCheckpoint:
         assert loaded.vocab.tokens == model.vocab.tokens
         for name, tensor in model.params.items():
             assert np.array_equal(loaded.params[name], tensor)
+
+    def test_loaded_tensors_own_writable_memory(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(tiny_model(pooling="lstm"), path)
+        for tensor in load_model(path).params.values():
+            assert tensor.flags.owndata and tensor.flags.writeable
 
     def test_resave_identical_bytes(self, tmp_path):
         model = tiny_model()

@@ -1,4 +1,6 @@
+import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ from sentenc.corpus import ParaphrasePair
 from sentenc.encoder import EncoderConfig, build_vocabulary, init_model
 from sentenc.numeric import SeededRng
 from sentenc.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DivergenceError,
     OptimizerState,
     TrainConfig,
+    _dedupe_positives,
     adamw_step,
     lr_schedule,
     make_batches,
@@ -133,6 +139,78 @@ class TestAdamW:
             adamw_step(
                 params, {"w": np.array([1.0, np.nan, 0, 0])}, state, 0.1, weight_decay=0.01
             )
+
+
+def reference_adamw_step(params, grads, m, v, t, lr, weight_decay):
+    """The allocating AdamW formula that adamw_step computes in place."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1**t)
+        v_hat = v[name] / (1.0 - b2**t)
+        p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+
+
+class TestAdamWInPlace:
+    SHAPES = {"embed": (30, 8), "w": (8, 5), "b": (5,), "scalar": (1,)}
+
+    @classmethod
+    def _params(cls):
+        rng = SeededRng(4)
+        return {name: rng.uniform(-1, 1, shape) for name, shape in cls.SHAPES.items()}
+
+    def test_bit_identical_to_allocating_formula(self):
+        params, ref = self._params(), self._params()
+        state = OptimizerState.for_params(params)
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        rng = SeededRng(5)
+        for t in range(1, 21):
+            grads = {k: rng.uniform(-2, 2, p.shape) for k, p in params.items()}
+            grads["b"][t % 5] = 0.0
+            lr = 1e-2 * t / 20
+            adamw_step(params, grads, state, lr, weight_decay=0.05)
+            reference_adamw_step(ref, grads, m, v, t, lr, 0.05)
+        for name in params:
+            assert np.array_equal(params[name], ref[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
+
+    def test_scratch_is_reused(self):
+        params = self._params()
+        state = OptimizerState.for_params(params)
+        grads = {k: np.ones_like(p) for k, p in params.items()}
+        adamw_step(params, grads, state, 0.1, weight_decay=0.01)
+        s1, s2 = state.scratch
+        assert s1.size == s2.size == max(p.size for p in params.values())
+        adamw_step(params, grads, state, 0.1, weight_decay=0.01)
+        assert state.scratch[0] is s1 and state.scratch[1] is s2
+
+
+class TestDedupePositives:
+    def test_swaps_duplicate_into_later_batch(self):
+        P = ParaphrasePair
+        batches = [[P("a0", "x"), P("a1", "x")], [P("a2", "y"), P("a3", "z")]]
+        before = Counter(p for batch in batches for p in batch)
+        _dedupe_positives(batches)
+        assert batches == [[P("a0", "x"), P("a2", "y")], [P("a1", "x"), P("a3", "z")]]
+        assert Counter(p for batch in batches for p in batch) == before
+
+    def test_unswappable_duplicate_stays_with_one_warning(self, caplog):
+        P = ParaphrasePair
+        # the only candidate, "y", would bring back a second "x" into batch 1
+        batches = [[P("a0", "x"), P("a1", "x")], [P("a2", "x"), P("a3", "y")]]
+        expected = [list(batch) for batch in batches]
+        with caplog.at_level(logging.WARNING, logger="sentenc.training"):
+            _dedupe_positives(batches)
+        assert batches == expected
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "duplicate positive" in warnings[0].getMessage()
 
 
 class TestLrSchedule:
