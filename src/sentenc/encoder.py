@@ -17,7 +17,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -125,14 +125,31 @@ class EncoderConfig:
         return self.lstm_hidden if self.pooling == "lstm" else self.embed_dim
 
 
+class ParamSet(dict):
+    """Named float64 views into one zero-initialised contiguous vector `flat`,
+    laid out in the order of `shapes`. Whole-set passes (the optimizer
+    update, finite checks) run over `flat`; layers index the views by name."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        offset = 0
+        for name, shape in shapes.items():
+            self[name] = self.flat[offset : offset + math.prod(shape)].reshape(shape)
+            offset += self[name].size
+
+    def zeros_like(self) -> "ParamSet":
+        return ParamSet({name: view.shape for name, view in self.items()})
+
+
 @dataclass
 class EncoderModel:
     config: EncoderConfig
     vocab: Vocabulary
-    params: dict[str, np.ndarray]
+    params: ParamSet
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
+    def zero_grads(self) -> ParamSet:
+        return self.params.zeros_like()
 
 
 def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -163,24 +180,22 @@ def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> Enco
     each block drawn from its own gate sub-stream; the forget-gate bias
     starts at 1."""
     h = config.lstm_hidden
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config, len(vocab)).items():
+    params = ParamSet(param_shapes(config, len(vocab)))
+    for name, view in params.items():
         if name == "lstm.w":
             r = rng.substream("lstm")
-            params[name] = np.concatenate(
-                [_glorot(r.substream(gate), shape[1], h, (h, shape[1])) for gate in "ifog"]
-            )
+            for k, gate in enumerate("ifog"):
+                rows = view[k * h : (k + 1) * h]
+                rows[...] = _glorot(r.substream(gate), rows.shape[1], h, rows.shape)
         elif name == "lstm.b":
-            params[name] = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
-        elif len(shape) == 2:  # (fan_in, fan_out)
+            view[h : 2 * h] = 1.0
+        elif view.ndim == 2:  # (fan_in, fan_out)
             r = rng
             for part in name.split("."):
                 r = r.substream(part)
-            params[name] = _glorot(r, *shape, shape)
+            view[...] = _glorot(r, *view.shape, view.shape)
         elif name.endswith("_g"):
-            params[name] = np.ones(shape)
-        else:
-            params[name] = np.zeros(shape)
+            view[...] = 1.0
     return EncoderModel(config, vocab, params)
 
 
@@ -421,29 +436,6 @@ def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
     np.add.at(grads["embed"], padded[mask], dy[mask])
 
 
-def finite_difference_grad(
-    loss_fn: Callable[[EncoderModel], float], model: EncoderModel, eps: float = 1e-5
-) -> dict[str, np.ndarray]:
-    """Central-difference gradient of loss_fn per scalar parameter."""
-    if eps <= 0:
-        raise EncoderError("eps must be positive")
-    grads = {}
-    for name, tensor in model.params.items():
-        grad = np.zeros_like(tensor)
-        flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_fn(model)
-            flat[idx] = orig - eps
-            down = loss_fn(model)
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * eps)
-        grads[name] = grad
-    return grads
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -470,15 +462,6 @@ def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
         json.dump(doc, handle)
 
 
-def _decode_tensor(entry: dict) -> np.ndarray:
-    shape = tuple(entry["shape"])
-    raw = base64.b64decode(entry["data"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} data bytes for shape {shape}")
-    # astype copies, so the tensor owns writable memory
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def load_model(path: str | os.PathLike) -> EncoderModel:
     """Read a checkpoint written by save_model. Raises EncoderError for a
     document of another format, a malformed one, or unless its tensor names
@@ -495,16 +478,24 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
             )
         config = EncoderConfig(**doc["config"])
         vocab = Vocabulary.from_tokens(doc["vocab"])
-        params = {name: _decode_tensor(entry) for name, entry in doc["params"].items()}
+        expected = param_shapes(config, len(vocab))
+        stored = {(name, tuple(entry["shape"])) for name, entry in doc["params"].items()}
+        diff = set(expected.items()) ^ stored
+        if diff:
+            raise EncoderError(
+                f"checkpoint {path}: tensors differ from the config: {sorted(diff)}"
+            )
+        # each tensor is decoded straight into its view of one flat vector
+        params = ParamSet(expected)
+        for name, view in params.items():
+            raw = base64.b64decode(doc["params"][name]["data"], validate=True)
+            if len(raw) != 8 * view.size:
+                raise ValueError(f"{len(raw)} data bytes for shape {view.shape}")
+            view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
     # JSONDecodeError and binascii.Error are ValueErrors; AttributeError is a
     # document that is not a JSON object
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise EncoderError(f"malformed checkpoint {path}: {exc}") from exc
-    expected = param_shapes(config, len(vocab))
-    diff = set(expected.items()) ^ {(n, t.shape) for n, t in params.items()}
-    if diff:
-        raise EncoderError(f"checkpoint {path}: tensors differ from the config: {sorted(diff)}")
-    for tensor in params.values():
-        if not np.all(np.isfinite(tensor)):
-            raise EncoderError(f"non-finite parameters in checkpoint {path}")
+    if not np.isfinite(params.flat).all():
+        raise EncoderError(f"non-finite parameters in checkpoint {path}")
     return EncoderModel(config, vocab, params)

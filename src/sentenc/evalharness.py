@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EvalRecord
-from .encoder import EncoderModel, encode
+from .encoder import EncoderModel, ParamSet, encode
 from .errors import EvalError
 from .numeric import SeededRng, softmax
 from .training import OptimizerState, adamw_step, lr_schedule
@@ -110,38 +110,31 @@ def train_probe(
     rng = SeededRng(seed).substream("probe")
     a1 = np.sqrt(6.0 / (in_dim + hidden))
     a2 = np.sqrt(6.0 / (hidden + out_dim))
-    probe = ProbeModel(
-        w1=rng.substream("w1").uniform(-a1, a1, (in_dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.substream("w2").uniform(-a2, a2, (hidden, out_dim)),
-        b2=np.zeros(out_dim),
-        classes=classes,
-        l2=l2,
+    params = ParamSet(
+        {"w1": (in_dim, hidden), "b1": (hidden,), "w2": (hidden, out_dim), "b2": (out_dim,)}
     )
-    params = {"w1": probe.w1, "b1": probe.b1, "w2": probe.w2, "b2": probe.b2}
+    params["w1"][...] = rng.substream("w1").uniform(-a1, a1, (in_dim, hidden))
+    params["w2"][...] = rng.substream("w2").uniform(-a2, a2, (hidden, out_dim))
+    probe = ProbeModel(**params, classes=classes, l2=l2)
+    grads = params.zeros_like()
     state = OptimizerState.for_params(params)
     for step in range(1, PROBE_ITERATIONS + 1):
         hidden_act, out = _probe_forward(probe, x)
         if kind == "classification":
-            probs = softmax(out)
-            dout = probs.copy()
+            dout = softmax(out)
             dout[np.arange(n), y_idx] -= 1.0
             dout /= n
         else:
             dout = 2.0 * (out[:, 0] - y)[:, None] / n
-        dw2 = hidden_act.T @ dout + 2.0 * l2 * probe.w2
-        db2 = dout.sum(axis=0)
+        np.matmul(hidden_act.T, dout, out=grads["w2"])
+        grads["w2"] += 2.0 * l2 * probe.w2
+        dout.sum(axis=0, out=grads["b2"])
         dhidden = (dout @ probe.w2.T) * (1.0 - hidden_act**2)
-        dw1 = x.T @ dhidden + 2.0 * l2 * probe.w1
-        db1 = dhidden.sum(axis=0)
+        np.matmul(x.T, dhidden, out=grads["w1"])
+        grads["w1"] += 2.0 * l2 * probe.w1
+        dhidden.sum(axis=0, out=grads["b1"])
         step_lr = lr_schedule(step, PROBE_ITERATIONS, PROBE_LR, 0.1)
-        adamw_step(
-            params,
-            {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2},
-            state,
-            step_lr,
-            weight_decay=0.0,
-        )
+        adamw_step(params, grads, state, step_lr, weight_decay=0.0)
     return probe
 
 

@@ -7,7 +7,6 @@ sentence appears in at least one pair.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,7 +18,6 @@ from .corpus import AlignedPair, ParaphrasePair, normalize, numbered_rows
 from .errors import MiningError, NumericError
 from .numeric import SeededRng, cosine_similarity
 
-logger = logging.getLogger(__name__)
 
 # text -> fixed-dimension vector; deterministic, nonzero norm for nonempty text
 FilterEncoder = Callable[[str], np.ndarray]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParaphrasePair, atomic_write
-from .encoder import EncoderModel, _backward, _forward, _length_chunks
+from .encoder import EncoderModel, ParamSet, _backward, _forward, _length_chunks
 from .errors import DivergenceError
 from .numeric import SeededRng, logsumexp, softmax
 
@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Elements per AdamW pass: the scratch vectors stay this small however large
+# the model is, while each numpy call still covers many elements.
+ADAMW_BLOCK = 1 << 15
 
 
 @dataclass
@@ -53,19 +57,17 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ParamSet
+    v: ParamSet
+    # two work vectors of at most ADAMW_BLOCK elements; each block of the
+    # update runs in views of them
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
-    # two work buffers the size of the largest tensor, made on the first
-    # update; every tensor's update runs in views of them
-    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: ParamSet) -> "OptimizerState":
+        size = min(params.flat.size, ADAMW_BLOCK)
+        return cls(params.zeros_like(), params.zeros_like(), (np.empty(size), np.empty(size)))
 
 
 @dataclass
@@ -107,30 +109,23 @@ def mnr_loss_grad(s: np.ndarray) -> np.ndarray:
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    lr: float,
-    weight_decay: float,
+    params: ParamSet, grads: ParamSet, state: OptimizerState, lr: float, weight_decay: float
 ) -> None:
     """One AdamW update in place: Adam moments with bias correction plus
-    decoupled weight decay. Every product and quotient is written into the
-    state's two scratch buffers, in the order of
+    decoupled weight decay. It walks the flat vectors in blocks of
+    ADAMW_BLOCK elements and writes every product and quotient into the
+    state's two scratch vectors, in the order of
     p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient; aborting optimizer step")
+    if not np.isfinite(grads.flat).all():
+        raise DivergenceError("non-finite gradient; aborting optimizer step")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    if state.scratch is None:
-        size = max(p.size for p in params.values())
-        state.scratch = (np.empty(size), np.empty(size))
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        s1, s2 = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
+    for lo in range(0, params.flat.size, ADAMW_BLOCK):
+        block = slice(lo, lo + ADAMW_BLOCK)
+        p, g = params.flat[block], grads.flat[block]
+        m, v = state.m.flat[block], state.v.flat[block]
+        s1, s2 = (buf[: p.size] for buf in state.scratch)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=s1)
         np.multiply(g, 1.0 - b2, out=s1)
@@ -163,8 +158,9 @@ def lr_schedule(step: int, total_steps: int, peak: float, warmup_ratio: float) -
 
 
 def _dedupe_positives(batches: list[list[ParaphrasePair]]) -> None:
-    """Best-effort swap so no batch holds two identical positive texts;
-    duplicates that cannot be swapped away are kept with a warning."""
+    """Best-effort swap so no batch holds two identical positive texts,
+    trying later batches first and then earlier ones; duplicates that cannot
+    be swapped away are kept with a warning."""
     for bi, batch in enumerate(batches):
         seen: set[str] = set()
         for pi, pair in enumerate(batch):
@@ -172,7 +168,7 @@ def _dedupe_positives(batches: list[list[ParaphrasePair]]) -> None:
                 seen.add(pair.b)
                 continue
             swapped = False
-            for bj in range(bi + 1, len(batches)):
+            for bj in [*range(bi + 1, len(batches)), *range(bi)]:
                 other = batches[bj]
                 other_texts = {p.b for p in other}
                 for pj, cand in enumerate(other):
@@ -211,7 +207,7 @@ def make_batches(
 
 def batch_loss_and_grads(
     pairs: list[ParaphrasePair], model: EncoderModel, temperature: float
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, ParamSet]:
     """Loss of one batch plus analytic parameter gradients through both towers.
 
     All 2K texts go through the encoder in length-sorted padded chunks."""

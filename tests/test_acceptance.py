@@ -12,13 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fd_oracle import finite_difference_grad
+
 from sentenc.cli import main as cli_main
 from sentenc.corpus import AlignedPair, ParaphrasePair
 from sentenc.encoder import (
     EncoderConfig,
     build_vocabulary,
     encode,
-    finite_difference_grad,
     init_model,
     load_model,
     save_model,

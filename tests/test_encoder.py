@@ -263,6 +263,33 @@ class TestParamTable:
         assert shapes == {name: t.shape for name, t in model.params.items()}
 
 
+class TestParamSet:
+    @pytest.mark.parametrize("pooling", ["mean", "lstm"])
+    def test_views_tile_flat_in_param_shapes_order(self, pooling):
+        model = tiny_model(pooling=pooling, num_blocks=2)
+        params = model.params
+        shapes = param_shapes(model.config, len(model.vocab))
+        assert list(params) == list(shapes)
+        params.flat[:] = np.arange(params.flat.size)
+        offset = 0
+        for name, shape in shapes.items():
+            view = params[name]
+            assert view.base is params.flat and view.shape == shape
+            assert np.array_equal(view.ravel(), np.arange(offset, offset + view.size))
+            offset += view.size
+        assert offset == params.flat.size
+
+    def test_zeros_like_keeps_names_and_shapes(self):
+        params = tiny_model(pooling="lstm").params
+        zeros = params.zeros_like()
+        assert [(n, t.shape) for n, t in zeros.items()] == [
+            (n, t.shape) for n, t in params.items()
+        ]
+        assert not np.shares_memory(zeros.flat, params.flat)
+        assert np.all(zeros.flat == 0.0)
+        assert all(view.base is zeros.flat for view in zeros.values())
+
+
 MIXED = [
     "the cat sat",
     "a dog ran",
@@ -381,11 +408,13 @@ class TestCheckpoint:
         for name, tensor in model.params.items():
             assert np.array_equal(loaded.params[name], tensor)
 
-    def test_loaded_tensors_own_writable_memory(self, tmp_path):
+    def test_loaded_tensors_are_writable_views_of_flat(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(tiny_model(pooling="lstm"), path)
-        for tensor in load_model(path).params.values():
-            assert tensor.flags.owndata and tensor.flags.writeable
+        params = load_model(path).params
+        assert params.flat.flags.owndata and params.flat.flags.writeable
+        for tensor in params.values():
+            assert tensor.base is params.flat and tensor.flags.writeable
 
     def test_resave_identical_bytes(self, tmp_path):
         model = tiny_model()

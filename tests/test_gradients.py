@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from fd_oracle import finite_difference_grad
+
 from sentenc.corpus import ParaphrasePair
 from sentenc.encoder import (
     EncoderConfig,
@@ -10,7 +12,6 @@ from sentenc.encoder import (
     _forward,
     build_vocabulary,
     encode,
-    finite_difference_grad,
     init_model,
 )
 from sentenc.numeric import SeededRng

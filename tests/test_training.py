@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentenc.corpus import ParaphrasePair
-from sentenc.encoder import EncoderConfig, build_vocabulary, init_model
+from sentenc import training
+from sentenc.encoder import EncoderConfig, ParamSet, build_vocabulary, init_model
 from sentenc.numeric import SeededRng
 from sentenc.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ADAMW_BLOCK,
     DivergenceError,
     OptimizerState,
     TrainConfig,
@@ -110,39 +112,44 @@ class TestMnrLossGrad:
 class TestAdamW:
     @staticmethod
     def _setup(value=1.0):
-        params = {"w": np.full(4, value)}
-        state = OptimizerState(
-            m={"w": np.zeros(4)}, v={"w": np.zeros(4)}
-        )
-        return params, state
+        params = ParamSet({"w": (4,)})
+        params["w"][...] = value
+        return params, OptimizerState.for_params(params)
+
+    @staticmethod
+    def _grads(values):
+        grads = ParamSet({"w": (4,)})
+        grads["w"][...] = values
+        return grads
 
     def test_zero_grad_zero_decay_leaves_params(self):
         params, state = self._setup()
-        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, weight_decay=0.0)
+        adamw_step(params, self._grads(0.0), state, 0.1, weight_decay=0.0)
         assert params["w"].tolist() == [1.0] * 4
 
     def test_first_step_is_signed_lr(self):
         params, state = self._setup()
         g = np.array([0.5, -2.0, 1e-3, 3.0])
-        adamw_step(params, {"w": g}, state, 0.01, weight_decay=0.0)
+        adamw_step(params, self._grads(g), state, 0.01, weight_decay=0.0)
         expected = 1.0 - 0.01 * np.sign(g)
         assert np.allclose(params["w"], expected, atol=1e-4)
 
     def test_pure_decay(self):
         params, state = self._setup()
-        adamw_step(params, {"w": np.zeros(4)}, state, 0.1, weight_decay=0.5)
+        adamw_step(params, self._grads(0.0), state, 0.1, weight_decay=0.5)
         assert np.allclose(params["w"], 1.0 - 0.1 * 0.5, atol=1e-15)
 
     def test_nonfinite_gradient_aborts(self):
         params, state = self._setup()
         with pytest.raises(DivergenceError):
             adamw_step(
-                params, {"w": np.array([1.0, np.nan, 0, 0])}, state, 0.1, weight_decay=0.01
+                params, self._grads([1.0, np.nan, 0, 0]), state, 0.1, weight_decay=0.01
             )
 
 
 def reference_adamw_step(params, grads, m, v, t, lr, weight_decay):
-    """The allocating AdamW formula that adamw_step computes in place."""
+    """The allocating per-tensor AdamW formula that adamw_step computes in
+    place over the flat vectors."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
@@ -161,16 +168,22 @@ class TestAdamWInPlace:
     @classmethod
     def _params(cls):
         rng = SeededRng(4)
-        return {name: rng.uniform(-1, 1, shape) for name, shape in cls.SHAPES.items()}
+        params = ParamSet(cls.SHAPES)
+        for view in params.values():
+            view[...] = rng.uniform(-1, 1, view.shape)
+        return params
 
-    def test_bit_identical_to_allocating_formula(self):
-        params, ref = self._params(), self._params()
+    def _run_against_reference(self):
+        params = self._params()
+        ref = {k: p.copy() for k, p in params.items()}
         state = OptimizerState.for_params(params)
         m = {k: np.zeros_like(p) for k, p in ref.items()}
         v = {k: np.zeros_like(p) for k, p in ref.items()}
         rng = SeededRng(5)
+        grads = params.zeros_like()
         for t in range(1, 21):
-            grads = {k: rng.uniform(-2, 2, p.shape) for k, p in params.items()}
+            for view in grads.values():
+                view[...] = rng.uniform(-2, 2, view.shape)
             grads["b"][t % 5] = 0.0
             lr = 1e-2 * t / 20
             adamw_step(params, grads, state, lr, weight_decay=0.05)
@@ -179,14 +192,25 @@ class TestAdamWInPlace:
             assert np.array_equal(params[name], ref[name])
             assert np.array_equal(state.m[name], m[name])
             assert np.array_equal(state.v[name], v[name])
+        return state
+
+    def test_bit_identical_to_allocating_formula(self):
+        self._run_against_reference()
+
+    def test_blocks_that_cut_through_tensors_stay_bit_identical(self, monkeypatch):
+        # 7 divides none of the tensor boundaries (240, 280, 285, 286)
+        monkeypatch.setattr(training, "ADAMW_BLOCK", 7)
+        state = self._run_against_reference()
+        assert state.scratch[0].size == state.scratch[1].size == 7
 
     def test_scratch_is_reused(self):
         params = self._params()
         state = OptimizerState.for_params(params)
-        grads = {k: np.ones_like(p) for k, p in params.items()}
-        adamw_step(params, grads, state, 0.1, weight_decay=0.01)
         s1, s2 = state.scratch
-        assert s1.size == s2.size == max(p.size for p in params.values())
+        assert s1.size == s2.size == min(params.flat.size, ADAMW_BLOCK)
+        grads = params.zeros_like()
+        grads.flat[:] = 1.0
+        adamw_step(params, grads, state, 0.1, weight_decay=0.01)
         adamw_step(params, grads, state, 0.1, weight_decay=0.01)
         assert state.scratch[0] is s1 and state.scratch[1] is s2
 
@@ -211,6 +235,15 @@ class TestDedupePositives:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "duplicate positive" in warnings[0].getMessage()
+
+
+    def test_last_batch_duplicate_moves_to_earlier_batch(self):
+        P = ParaphrasePair
+        batches = [[P("a0", "y"), P("a1", "z")], [P("a2", "x"), P("a3", "x")]]
+        before = Counter(p for batch in batches for p in batch)
+        _dedupe_positives(batches)
+        assert batches == [[P("a3", "x"), P("a1", "z")], [P("a2", "x"), P("a0", "y")]]
+        assert Counter(p for batch in batches for p in batch) == before
 
 
 class TestLrSchedule:
