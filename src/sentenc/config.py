@@ -35,6 +35,8 @@ class FilterEncoderConfig:
             raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
         if self.type == "precomputed" and not self.path:
             raise ConfigError("precomputed filter encoder needs a path")
+        if self.type == "hashed_ngram" and self.path is not None:
+            raise ConfigError(f"hashed_ngram filter encoder reads no path, got {self.path!r}")
 
 
 @dataclass

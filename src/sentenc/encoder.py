@@ -94,10 +94,11 @@ def embed_tokens(ids, embedding: np.ndarray) -> np.ndarray:
     return embedding[ids]
 
 
-def _length_chunks(texts: list[str]) -> list[list[int]]:
-    """Indices of `texts` sorted by token count (stable), cut into chunks of
-    at most CHUNK_SIZE, so each padded batch holds sentences of similar length."""
-    order = sorted(range(len(texts)), key=lambda i: len(word_tokens(texts[i])))
+def _length_chunks(ids: list[list[int]]) -> list[list[int]]:
+    """Indices of the token id rows `ids`, stably sorted by row length (the
+    padded length), cut into chunks of at most CHUNK_SIZE, so each padded
+    batch holds sentences of similar length."""
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
     return [order[i : i + CHUNK_SIZE] for i in range(0, len(order), CHUNK_SIZE)]
 
 
@@ -379,11 +380,10 @@ def pool(y: np.ndarray, mask: np.ndarray, strategy: str, params: dict | None = N
     raise EncoderError(f"unknown pooling strategy {strategy!r}")
 
 
-def _forward(texts: list[str], model: EncoderModel):
-    """Encode one padded batch: tokenize -> embed -> attention blocks -> pool.
-    Returns ((B, output_dim) embeddings, cache for _backward)."""
+def _forward(ids: list[list[int]], model: EncoderModel):
+    """Encode one padded batch of tokenize rows: embed -> attention blocks ->
+    pool. Returns ((B, output_dim) embeddings, cache for _backward)."""
     cfg = model.config
-    ids = [tokenize(text, model.vocab, cfg.max_len) for text in texts]
     lengths = np.array([len(row) for row in ids])
     mask = np.arange(lengths.max()) < lengths[:, None]
     padded = np.full(mask.shape, PAD_ID)
@@ -397,14 +397,21 @@ def _forward(texts: list[str], model: EncoderModel):
     return emb, (padded, mask, block_caches, x, pool_cache)
 
 
-def encode(texts: list[str], model: EncoderModel) -> np.ndarray:
+def encode(texts: list[str], model: EncoderModel, tape: list | None = None) -> np.ndarray:
     """Sentence embeddings (n, output_dim) in input order, computed in
-    length-sorted padded chunks so only one chunk's activations are alive."""
+    length-sorted padded chunks so only one chunk's activations are alive.
+    When `tape` is a list, each chunk's (positions, cache) is appended to it
+    for _backward, which keeps every chunk's activations alive instead."""
     if isinstance(texts, str):
         raise EncoderError("encode takes a list of texts, not a single str")
-    out = np.empty((len(texts), model.config.output_dim))
-    for idx in _length_chunks(texts):
-        out[idx], _ = _forward([texts[i] for i in idx], model)
+    cfg = model.config
+    ids = [tokenize(text, model.vocab, cfg.max_len) for text in texts]
+    out = np.empty((len(texts), cfg.output_dim))
+    for idx in _length_chunks(ids):
+        out[idx], cache = _forward([ids[i] for i in idx], model)
+        if tape is not None:
+            tape.append((idx, cache))
+        del cache  # else it stays alive through the next chunk's forward
     return out
 
 

@@ -156,17 +156,10 @@ def accuracy(predictions, labels) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with tied values receiving the mean of their rank range:
+    a group of c equal values whose last rank is r gets r - (c - 1) / 2."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -197,26 +190,6 @@ def _score(probe: ProbeModel, features: np.ndarray, records: list[EvalRecord], k
     return spearman(preds, [r.label for r in records])
 
 
-def _select_lambda(
-    train_features, train_labels, val_features, val_records, kind, grid, hidden, seed
-):
-    """The probe, trained on the train split, whose grid value scores best on
-    validation; ties break toward the earlier value. Sees only train and
-    validation data."""
-    best, best_score = None, -np.inf
-    for l2 in grid:
-        probe = train_probe(train_features, train_labels, kind, hidden, l2, seed)
-        try:
-            score = _score(probe, val_features, val_records, kind)
-        except EvalError:  # e.g. constant predictions under extreme l2
-            score = -np.inf
-        if score > best_score:
-            best, best_score = probe, score
-    if best is None:
-        raise EvalError("no usable regularization candidate")
-    return best
-
-
 def evaluate(
     model: EncoderModel,
     task: EvalTask,
@@ -225,7 +198,9 @@ def evaluate(
     hidden: int = DEFAULT_HIDDEN,
 ) -> EvalResult:
     """Select L2 strength on the validation split and report the test metric
-    of the probe trained with it. The encoder is frozen throughout."""
+    of the probe trained with it: the grid value whose probe, trained on the
+    train split, scores best on validation wins, and ties break toward the
+    earlier value. The encoder is frozen throughout."""
     feats = {
         name: featurize(split, model)
         for name, split in (
@@ -234,16 +209,18 @@ def evaluate(
             ("test", task.test),
         )
     }
-    probe = _select_lambda(
-        feats["train"],
-        [r.label for r in task.train],
-        feats["validation"],
-        task.validation,
-        task.kind,
-        list(lambda_grid),
-        hidden,
-        seed,
-    )
+    train_labels = [r.label for r in task.train]
+    probe, best_score = None, -np.inf
+    for l2 in lambda_grid:
+        candidate = train_probe(feats["train"], train_labels, task.kind, hidden, l2, seed)
+        try:
+            score = _score(candidate, feats["validation"], task.validation, task.kind)
+        except EvalError:  # e.g. constant predictions under extreme l2
+            score = -np.inf
+        if score > best_score:
+            probe, best_score = candidate, score
+    if probe is None:
+        raise EvalError("no usable regularization candidate")
     value = _score(probe, feats["test"], task.test, task.kind)
     metric = "accuracy" if task.kind == "classification" else "spearman"
     return EvalResult(task.name, metric, value, probe.l2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParaphrasePair, atomic_write
-from .encoder import EncoderModel, ParamSet, _backward, _forward, _length_chunks
+from .encoder import EncoderModel, ParamSet, _backward, encode
 from .errors import DivergenceError
 from .numeric import SeededRng, logsumexp, softmax
 
@@ -81,13 +81,15 @@ class StepRecord:
 def similarity_matrix(a: np.ndarray, b: np.ndarray, temperature: float = 1.0):
     """K x K matrix of cosine(a_i, b_j) / temperature for anchors a and
     positives b. Returns (matrix, cache); the cache holds the unit rows and
-    norms of both sides, which the gradient of the matrix needs."""
+    norms of both sides and the cosines, which the gradient of the matrix
+    needs."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DivergenceError("zero-norm sentence embedding in batch")
     an, bn = a / na[:, None], b / nb[:, None]
-    return (an @ bn.T) / temperature, (an, na, bn, nb)
+    cos = an @ bn.T
+    return cos / temperature, (an, na, bn, nb, cos)
 
 
 def mnr_loss(s: np.ndarray) -> float:
@@ -167,22 +169,15 @@ def _dedupe_positives(batches: list[list[ParaphrasePair]]) -> None:
             if pair.b not in seen:
                 seen.add(pair.b)
                 continue
-            swapped = False
-            for bj in [*range(bi + 1, len(batches)), *range(bi)]:
-                other = batches[bj]
-                other_texts = {p.b for p in other}
-                for pj, cand in enumerate(other):
-                    if cand.b in seen:
-                        continue
-                    if pair.b in other_texts - {cand.b}:
-                        continue
-                    batch[pi], other[pj] = cand, pair
-                    seen.add(cand.b)
-                    swapped = True
+            for other in [*batches[bi + 1 :], *batches[:bi]]:
+                if any(p.b == pair.b for p in other):
+                    continue  # the duplicate would be a duplicate there too
+                pj = next((j for j, cand in enumerate(other) if cand.b not in seen), None)
+                if pj is not None:
+                    batch[pi], other[pj] = other[pj], pair
+                    seen.add(batch[pi].b)
                     break
-                if swapped:
-                    break
-            if not swapped:
+            else:
                 logger.warning(
                     "batch %d keeps duplicate positive text %r (false negative)",
                     bi,
@@ -210,27 +205,22 @@ def batch_loss_and_grads(
 ) -> tuple[float, ParamSet]:
     """Loss of one batch plus analytic parameter gradients through both towers.
 
-    All 2K texts go through the encoder in length-sorted padded chunks."""
+    All 2K texts go through `encode`, whose tape is then replayed backward."""
     k = len(pairs)
-    texts = [p.a for p in pairs] + [p.b for p in pairs]
-    emb = np.empty((2 * k, model.config.output_dim))
-    caches = []
-    for idx in _length_chunks(texts):
-        emb[idx], cache = _forward([texts[i] for i in idx], model)
-        caches.append((idx, cache))
-    s, (an, na, bn, nb) = similarity_matrix(emb[:k], emb[k:], temperature)
+    tape: list = []
+    emb = encode([p.a for p in pairs] + [p.b for p in pairs], model, tape)
+    s, (an, na, bn, nb, cos) = similarity_matrix(emb[:k], emb[k:], temperature)
     loss = mnr_loss(s)
     ds = mnr_loss_grad(s) / temperature
 
-    cos = an @ bn.T
     # d cos(a_i, b_j) / d a_i = (b_j/|b_j| - cos * a_i/|a_i|) / |a_i|
     da = (ds @ bn - (ds * cos).sum(axis=1, keepdims=True) * an) / na[:, None]
     db = (ds.T @ an - (ds * cos).sum(axis=0)[:, None] * bn) / nb[:, None]
     demb = np.concatenate([da, db])
 
     grads = model.zero_grads()
-    while caches:  # drop each chunk's activations once its gradients are in
-        idx, cache = caches.pop(0)
+    while tape:  # drop each chunk's activations once its gradients are in
+        idx, cache = tape.pop(0)
         _backward(demb[idx], cache, model, grads)
     return loss, grads
 

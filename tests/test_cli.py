@@ -121,6 +121,8 @@ class TestMineCommand:
                          "filter_encoder.dimension '512'", id="string_dimension"),
             pytest.param({"filter_encoder": {"dimension": 4}}, [], "dimension 4",
                          id="small_dimension"),
+            pytest.param({"filter_encoder": {"path": "vectors.tsv"}}, [],
+                         "hashed_ngram filter encoder reads no path", id="hashed_ngram_path"),
             pytest.param({"eval": {"hidden": 0}}, [], "hidden 0", id="zero_hidden"),
             pytest.param({"eval": {"lambda_grid": ["a"]}}, [], "eval.lambda_grid[0] 'a'",
                          id="string_lambda"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,10 @@ from sentenc.numeric import SeededRng
 @pytest.fixture
 def small_vocab():
     return build_vocabulary(["the cat sat", "a dog ran", "birds fly high now"])
+
+
+def token_ids(texts, model):
+    return [tokenize(t, model.vocab, model.config.max_len) for t in texts]
 
 
 def tiny_model(pooling="mean", vocab=None, seed=3, **kwargs):
@@ -322,12 +328,27 @@ class TestBatchedEncoder:
         texts = MIXED[:4]  # 4, 4, 12 and 2 tokens: three of them padded
         upstream = SeededRng(8).uniform(-1, 1, (4, model.config.output_dim))
         batched = model.zero_grads()
-        _backward(upstream, _forward(texts, model)[1], model, batched)
+        _backward(upstream, _forward(token_ids(texts, model), model)[1], model, batched)
         single = model.zero_grads()
         for text, demb in zip(texts, upstream):
-            _backward(demb[None], _forward([text], model)[1], model, single)
+            _backward(demb[None], _forward(token_ids([text], model), model)[1], model, single)
         for name, g in batched.items():
             assert np.abs(g - single[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
+    def test_tape_leaves_embeddings_bit_equal(self, pooling):
+        model = tiny_model(pooling=pooling, num_blocks=2)
+        tape = []
+        assert np.array_equal(encode(MIXED, model, tape), encode(MIXED, model))
+        assert tape
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE])
+    def test_tape_covers_each_position_once(self, n):
+        texts = [MIXED[i % len(MIXED)] for i in range(n)]
+        tape = []
+        encode(texts, tiny_model(), tape)
+        assert len(tape) == math.ceil(n / CHUNK_SIZE)
+        assert sorted(i for positions, _ in tape for i in positions) == list(range(n))
 
     def test_empty_list(self):
         assert encode([], tiny_model(pooling="lstm")).shape == (0, 16)

@@ -9,6 +9,7 @@ from sentenc.encoder import EncoderConfig, build_vocabulary, init_model
 from sentenc.evalharness import (
     EvalError,
     EvalTask,
+    _average_ranks,
     accuracy,
     evaluate,
     featurize,
@@ -19,24 +20,25 @@ from sentenc.evalharness import (
 from sentenc.numeric import SeededRng
 
 
+def reference_ranks(values):
+    """Average ranks as exact fractions, by walking runs of equal values."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    out = [Fraction(0)] * len(values)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = Fraction(i + j, 2) + 1
+        for k in range(i, j + 1):
+            out[order[k]] = avg
+        i = j + 1
+    return out
+
+
 def rank_then_pearson_oracle(x, y):
     """Exact Spearman via average ranks and Pearson in rational arithmetic."""
-
-    def ranks(values):
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        out = [Fraction(0)] * len(values)
-        i = 0
-        while i < len(values):
-            j = i
-            while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            avg = Fraction(i + j, 2) + 1
-            for k in range(i, j + 1):
-                out[order[k]] = avg
-            i = j + 1
-        return out
-
-    rx, ry = ranks(list(x)), ranks(list(y))
+    rx, ry = reference_ranks(list(x)), reference_ranks(list(y))
     n = len(rx)
     mx = sum(rx, Fraction(0)) / n
     my = sum(ry, Fraction(0)) / n
@@ -108,12 +110,21 @@ class TestSpearman:
         assert spearman(x, [-v for v in x]) == -1.0
 
     def test_tied_example_against_oracle(self):
-        x, y = [1, 2, 2, 4], [1, 3, 2, 4]
-        assert spearman(x, y) == pytest.approx(rank_then_pearson_oracle(x, y), abs=1e-12)
+        for x, y in [
+            ([1, 2, 2, 4], [1, 3, 2, 4]),
+            # -0.0 and 0.0 tie with each other
+            ([0.0, -0.0, 1.5, -0.0, -2.0, 1.5, 0.0], [-0.0, 3.0, 0.0, 3.0, -1.0, 0.0, 2.0]),
+        ]:
+            assert spearman(x, y) == pytest.approx(rank_then_pearson_oracle(x, y), abs=1e-12)
 
     def test_constant_input_is_error(self):
         with pytest.raises(EvalError):
             spearman([1, 1, 1], [1, 2, 3])
+
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]), min_size=1, max_size=40))
+    def test_average_ranks_equal_reference(self, values):
+        ranks = _average_ranks(np.array(values))
+        assert ranks.tolist() == [float(r) for r in reference_ranks(values)]
 
     @given(
         st.lists(st.integers(0, 9), min_size=2, max_size=40),

@@ -13,11 +13,16 @@ from sentenc.encoder import (
     build_vocabulary,
     encode,
     init_model,
+    tokenize,
 )
 from sentenc.numeric import SeededRng
 from sentenc.training import batch_loss_and_grads, mnr_loss, similarity_matrix
 
 TEXTS = ["the cat sat", "a dog ran fast", "birds fly high", "fish swim deep"]
+
+
+def token_ids(texts, model):
+    return [tokenize(t, model.vocab, model.config.max_len) for t in texts]
 
 
 def tiny_model(pooling, seed=3):
@@ -70,7 +75,8 @@ class TestModelBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model("lstm")
         grads = model.zero_grads()
-        _backward(np.zeros((2, 16)), _forward(TEXTS[:2], model)[1], model, grads)
+        _, cache = _forward(token_ids(TEXTS[:2], model), model)
+        _backward(np.zeros((2, 16)), cache, model, grads)
         for g in grads.values():
             assert np.all(g == 0.0)
 
@@ -78,7 +84,7 @@ class TestModelBackward:
         model = tiny_model("mean")
         from sentenc.encoder import EncoderError
 
-        _, cache = _forward([TEXTS[0]], model)
+        _, cache = _forward(token_ids([TEXTS[0]], model), model)
         with pytest.raises(EncoderError):
             _backward(np.zeros((1, 5)), cache, model, model.zero_grads())
 
@@ -86,7 +92,8 @@ class TestModelBackward:
         model = tiny_model("mean", seed=9)
         upstream = SeededRng(1).uniform(-1, 1, 8)
         grads = model.zero_grads()
-        _backward(upstream[None], _forward([TEXTS[0]], model)[1], model, grads)
+        _, cache = _forward(token_ids([TEXTS[0]], model), model)
+        _backward(upstream[None], cache, model, grads)
 
         def loss_fn(m):
             return float(np.dot(upstream, encode([TEXTS[0]], m)[0]))

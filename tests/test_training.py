@@ -215,7 +215,58 @@ class TestAdamWInPlace:
         assert state.scratch[0] is s1 and state.scratch[1] is s2
 
 
+def reference_dedupe_positives(batches):
+    """The earlier candidate-by-candidate search that _dedupe_positives
+    replaces. Returns the number of duplicates it kept."""
+    kept = 0
+    for bi, batch in enumerate(batches):
+        seen = set()
+        for pi, pair in enumerate(batch):
+            if pair.b not in seen:
+                seen.add(pair.b)
+                continue
+            swapped = False
+            for bj in [*range(bi + 1, len(batches)), *range(bi)]:
+                other = batches[bj]
+                other_texts = {p.b for p in other}
+                for pj, cand in enumerate(other):
+                    if cand.b in seen:
+                        continue
+                    if pair.b in other_texts - {cand.b}:
+                        continue
+                    batch[pi], other[pj] = cand, pair
+                    seen.add(cand.b)
+                    swapped = True
+                    break
+                if swapped:
+                    break
+            if not swapped:
+                kept += 1
+    return kept
+
+
 class TestDedupePositives:
+    def test_matches_reference_search(self, caplog):
+        P = ParaphrasePair
+        total_kept = total_moved = 0
+        for seed in range(300):
+            rng = SeededRng(seed)
+            # few distinct positives, so some duplicates have nowhere to go
+            n_texts, n_pairs, k = rng.integers(1, 8), rng.integers(2, 40), rng.integers(2, 9)
+            pairs = [P(f"a{i}", f"b{rng.integers(0, n_texts)}") for i in range(n_pairs)]
+            batches = [pairs[i : i + k] for i in range(0, n_pairs, k)]
+            expected = [list(batch) for batch in batches]
+            kept = reference_dedupe_positives(expected)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sentenc.training"):
+                _dedupe_positives(batches)
+            assert batches == expected, seed
+            warnings = [r for r in caplog.records if "duplicate positive" in r.getMessage()]
+            assert len(warnings) == kept, seed
+            total_kept += kept
+            total_moved += sum(p != q for p, q in zip(sum(batches, []), pairs))
+        assert total_kept > 0 and total_moved > 0  # both branches were taken
+
     def test_swaps_duplicate_into_later_batch(self):
         P = ParaphrasePair
         batches = [[P("a0", "x"), P("a1", "x")], [P("a2", "y"), P("a3", "z")]]
