@@ -44,7 +44,7 @@ def _corpus_reader(config: RunConfig):
     paths = config.paths
     if paths.corpus_tsv:
         return read_parallel_tsv(paths.corpus_tsv)
-    if paths.corpus_source and paths.corpus_target:
+    if paths.corpus_source:  # PathsConfig checked that both are set
         return read_parallel_moses(paths.corpus_source, paths.corpus_target)
     raise ConfigError("config must set paths.corpus_tsv or both Moses paths")
 
@@ -67,8 +67,10 @@ def cmd_mine(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     pairs = read_pairs(config.paths.pairs)
-    if not pairs:
-        raise CorpusError(f"no training pairs in {config.paths.pairs}")
+    if len(pairs) < 2:  # a batch of fewer has no in-batch negative
+        raise CorpusError(
+            f"{config.paths.pairs} holds {len(pairs)} training pairs; training needs at least 2"
+        )
     texts = [p.a for p in pairs] + [p.b for p in pairs]
     vocab = build_vocabulary(texts, config.min_count)
     rng = SeededRng(config.seed).substream("init")
@@ -102,16 +104,11 @@ def cmd_eval(config: RunConfig) -> int:
     seed = _derive_seed(config.seed, "probe")
     rows = []
     for task_cfg in config.eval.tasks:
-        task = EvalTask(
-            name=task_cfg.name,
-            kind=task_cfg.kind,
-            arity=task_cfg.arity,
-            train=read_eval_dataset(task_cfg.train, task_cfg.kind, task_cfg.arity),
-            validation=read_eval_dataset(
-                task_cfg.validation, task_cfg.kind, task_cfg.arity
-            ),
-            test=read_eval_dataset(task_cfg.test, task_cfg.kind, task_cfg.arity),
-        )
+        splits = [
+            read_eval_dataset(path, task_cfg.kind, task_cfg.arity)
+            for path in (task_cfg.train, task_cfg.validation, task_cfg.test)
+        ]
+        task = EvalTask(task_cfg.name, task_cfg.kind, *splits)
         result = evaluate(
             model,
             task,

@@ -74,6 +74,13 @@ class PathsConfig:
     loss_csv: str = "loss.csv"
     eval_report: str = "results.csv"
 
+    def __post_init__(self):
+        moses = (self.corpus_source, self.corpus_target)
+        if self.corpus_tsv and any(moses):
+            raise ValueError("set either corpus_tsv or the Moses paths, not both")
+        if any(moses) and not all(moses):
+            raise ValueError("corpus_source and corpus_target must be set together")
+
 
 @dataclass
 class RunConfig:
@@ -90,6 +97,12 @@ class RunConfig:
         check_seed(self.seed)
         if self.min_count < 1:
             raise ValueError(f"min_count {self.min_count!r} must be >= 1")
+        # checked here, not in EncoderConfig, so library models are unaffected
+        if self.encoder.pooling == "cls" and self.encoder.num_blocks == 0:
+            raise ValueError(
+                "encoder.pooling 'cls' needs encoder.num_blocks >= 1: without "
+                "attention every sentence encodes to the <cls> embedding"
+            )
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}

@@ -152,11 +152,6 @@ def read_eval_dataset(
     return records
 
 
-def _sanitize(text: str) -> str:
-    # Embedded tabs/newlines would break the single-pass TSV format.
-    return normalize(text.replace("\t", " "))
-
-
 @contextmanager
 def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
     """A UTF-8, LF text handle that replaces `path` only once the block
@@ -178,9 +173,11 @@ def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
 
 
 def write_pairs(pairs: Iterable[ParaphrasePair], path: str | os.PathLike) -> None:
+    # normalize turns every tab and line break into a space, so each pair
+    # stays one two-field row
     with atomic_write(path) as handle:
         for pair in pairs:
-            handle.write(f"{_sanitize(pair.a)}\t{_sanitize(pair.b)}\n")
+            handle.write(f"{normalize(pair.a)}\t{normalize(pair.b)}\n")
 
 
 def read_pairs(path: str | os.PathLike) -> list[ParaphrasePair]:

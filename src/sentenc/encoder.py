@@ -149,9 +149,6 @@ class EncoderModel:
     vocab: Vocabulary
     params: ParamSet
 
-    def zero_grads(self) -> ParamSet:
-        return self.params.zeros_like()
-
 
 def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))

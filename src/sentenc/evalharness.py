@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EvalRecord
-from .encoder import EncoderModel, ParamSet, encode
+from .encoder import EncoderModel, ParamSet, _glorot, encode
 from .errors import EvalError
 from .numeric import SeededRng, softmax
 from .training import OptimizerState, adamw_step, lr_schedule
@@ -27,7 +27,6 @@ PROBE_LR = 0.02
 class EvalTask:
     name: str
     kind: str  # classification | regression
-    arity: str  # single | pair
     train: list[EvalRecord]
     validation: list[EvalRecord]
     test: list[EvalRecord]
@@ -108,13 +107,11 @@ def train_probe(
         raise EvalError(f"unknown probe kind {kind!r}")
 
     rng = SeededRng(seed).substream("probe")
-    a1 = np.sqrt(6.0 / (in_dim + hidden))
-    a2 = np.sqrt(6.0 / (hidden + out_dim))
     params = ParamSet(
         {"w1": (in_dim, hidden), "b1": (hidden,), "w2": (hidden, out_dim), "b2": (out_dim,)}
     )
-    params["w1"][...] = rng.substream("w1").uniform(-a1, a1, (in_dim, hidden))
-    params["w2"][...] = rng.substream("w2").uniform(-a2, a2, (hidden, out_dim))
+    params["w1"][...] = _glorot(rng.substream("w1"), in_dim, hidden, (in_dim, hidden))
+    params["w2"][...] = _glorot(rng.substream("w2"), hidden, out_dim, (hidden, out_dim))
     probe = ProbeModel(**params, classes=classes, l2=l2)
     grads = params.zeros_like()
     state = OptimizerState.for_params(params)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -34,12 +34,6 @@ class MiningConfig:
         # thresholds above 1 are allowed and simply keep nothing
         if not self.threshold >= 0.0:
             raise MiningError(f"threshold {self.threshold} must be >= 0")
-
-
-@dataclass
-class SentenceGroup:
-    source: str
-    targets: list[str]  # distinct, first-seen order
 
 
 @dataclass
@@ -144,23 +138,23 @@ def filter_pairs(
             yield pair
 
 
-def group_by_source(pairs: Iterable[AlignedPair]) -> list[SentenceGroup]:
-    """One group per distinct source string, targets deduplicated, both in
-    first-seen order."""
+def group_by_source(pairs: Iterable[AlignedPair]) -> list[list[str]]:
+    """The targets of each distinct source string, one list per source:
+    sources and targets both in first-seen order, targets deduplicated."""
     groups: dict[str, dict[str, None]] = {}
     for pair in pairs:
         groups.setdefault(pair.source, {}).setdefault(pair.target, None)
-    return [SentenceGroup(src, list(tgts)) for src, tgts in groups.items()]
+    return [list(targets) for targets in groups.values()]
 
 
-def generate_pairs(group: SentenceGroup, rng: SeededRng) -> list[ParaphrasePair]:
-    """Pair up the group's targets so every sentence occurs at least once.
+def generate_pairs(targets: list[str], rng: SeededRng) -> list[ParaphrasePair]:
+    """Pair up one group's targets so every sentence occurs at least once.
 
     Shuffle, emit adjacent pairs; an odd leftover is paired with a uniformly
     chosen earlier target. Groups of fewer than 2 targets yield nothing;
     output is always ceil(n/2) pairs with no self-pairs.
     """
-    targets = rng.shuffle(group.targets)
+    targets = rng.shuffle(targets)
     n = len(targets)
     if n < 2:
         return []
@@ -191,16 +185,12 @@ def mine(
     stats = MiningStats() if stats is None else stats
     rng = SeededRng(seed).substream("mining")
     groups = group_by_source(filter_pairs(corpus, enc, config.threshold, stats))
-    pairable = [(i, g) for i, g in enumerate(groups) if len(g.targets) >= 2]
+    pairable = [(i, targets) for i, targets in enumerate(groups) if len(targets) >= 2]
     stats.groups = len(pairable)
-    seen: set[frozenset[str]] = set()
-    out: list[ParaphrasePair] = []
-    for index, group in pairable:
-        for pair in generate_pairs(group, rng.substream(f"group{index}")):
-            key = frozenset((pair.a, pair.b))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(pair)
+    # keyed on the unordered pair; setdefault keeps the first occurrence
+    out: dict[frozenset[str], ParaphrasePair] = {}
+    for index, targets in pairable:
+        for pair in generate_pairs(targets, rng.substream(f"group{index}")):
+            out.setdefault(frozenset((pair.a, pair.b)), pair)
     stats.emitted_pairs = len(out)
-    return out
+    return list(out.values())

@@ -154,8 +154,6 @@ def lr_schedule(step: int, total_steps: int, peak: float, warmup_ratio: float) -
     warmup = math.ceil(warmup_ratio * total_steps)
     if warmup > 0 and step <= warmup:
         return peak * step / warmup
-    if total_steps == warmup:
-        return peak if step == warmup else 0.0
     return peak * (total_steps - step) / (total_steps - warmup)
 
 
@@ -188,13 +186,13 @@ def _dedupe_positives(batches: list[list[ParaphrasePair]]) -> None:
 def make_batches(
     pairs: list[ParaphrasePair], k: int, rng: SeededRng
 ) -> list[list[ParaphrasePair]]:
-    """Shuffle, chunk into batches of K, drop a trailing 1-pair chunk unless
-    it is the only batch (a 1-pair batch has zero gradient either way)."""
-    if not pairs:
-        raise ValueError("empty training dataset")
+    """Shuffle, chunk into batches of K and drop a trailing 1-pair chunk: a
+    1-pair batch has no in-batch negative and so zero gradient."""
+    if len(pairs) < 2:
+        raise ValueError(f"{len(pairs)} training pairs; a batch needs at least 2")
     shuffled = rng.shuffle(pairs)
     batches = [shuffled[i : i + k] for i in range(0, len(shuffled), k)]
-    if len(batches) > 1 and len(batches[-1]) < 2:
+    if len(batches[-1]) < 2:
         batches.pop()
     _dedupe_positives(batches)
     return batches
@@ -218,7 +216,7 @@ def batch_loss_and_grads(
     db = (ds.T @ an - (ds * cos).sum(axis=0)[:, None] * bn) / nb[:, None]
     demb = np.concatenate([da, db])
 
-    grads = model.zero_grads()
+    grads = model.params.zeros_like()
     while tape:  # drop each chunk's activations once its gradients are in
         idx, cache = tape.pop(0)
         _backward(demb[idx], cache, model, grads)

@@ -3,10 +3,10 @@
 
 def finite_difference_grad(loss_fn, model, eps=1e-5):
     """Central-difference gradient of loss_fn per scalar parameter, as a
-    `model.zero_grads()` set; nudges one element of `model.params.flat` at
-    a time."""
+    `model.params.zeros_like()` set; nudges one element of
+    `model.params.flat` at a time."""
     flat = model.params.flat
-    grads = model.zero_grads()
+    grads = model.params.zeros_like()
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + eps

@@ -27,7 +27,6 @@ from sentenc.encoder import (
 from sentenc.evalharness import EvalTask, evaluate, spearman
 from sentenc.mining import (
     MiningConfig,
-    SentenceGroup,
     generate_pairs,
     hashed_ngram_encoder,
     mine,
@@ -125,7 +124,7 @@ def test_criterion_3_mining_properties():
     for trial in range(1000):
         n = 2 + rng.integers(0, 9)
         targets = [f"sentence {trial} {i}" for i in range(n)]
-        out = generate_pairs(SentenceGroup("s", targets), SeededRng(rng.integers(0, 2**32)))
+        out = generate_pairs(targets, SeededRng(rng.integers(0, 2**32)))
         assert len(out) == math.ceil(n / 2)
         assert {p.a for p in out} | {p.b for p in out} == set(targets)
         assert all(p.a != p.b for p in out)
@@ -364,7 +363,7 @@ def test_criterion_9_eval_harness_sanity():
     ]
     third = len(records) // 3
     task = EvalTask(
-        "coord", "classification", "single",
+        "coord", "classification",
         records[:third], records[third : 2 * third], records[2 * third :],
     )
     result = evaluate(model, task, lambda_grid=[1e-4, 1e-3], seed=3)
@@ -378,7 +377,7 @@ def test_criterion_9_eval_harness_sanity():
             EvalRecord(f"c{rng.integers(0, 4)}", (s,)) for s in sentences + sentences[:90]
         ]
         null_task = EvalTask(
-            "null", "classification", "single",
+            "null", "classification",
             rand_records[:80], rand_records[80:160], rand_records[160:],
         )
         accs.append(evaluate(model, null_task, lambda_grid=[1e-2], seed=seed).value)

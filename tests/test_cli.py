@@ -65,6 +65,12 @@ _TASK = {
 }
 
 
+# configs that load as JSON but are refused by every command
+_CLS_WITHOUT_BLOCKS = {"encoder": {"pooling": "cls", "num_blocks": 0}}
+_TSV_AND_MOSES = {"paths": {"corpus_source": "s.txt", "corpus_target": "t.txt"}}
+_ONE_MOSES_PATH = {"paths": {"corpus_tsv": None, "corpus_source": "s.txt"}}
+
+
 class TestMineCommand:
     def test_summary_counts_match_hand_count(self, fixture_corpus, capsys):
         config = write_config(fixture_corpus)
@@ -76,6 +82,30 @@ class TestMineCommand:
         assert "groups >= 2:        3" in out
         assert "emitted pairs:      6" in out
         assert len(read_pairs(fixture_corpus / "pairs.tsv")) == 6
+
+    def test_moses_pair_mines_like_one_tsv(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        tsv_out = capsys.readouterr().out
+        tsv_pairs = (fixture_corpus / "pairs.tsv").read_bytes()
+
+        lines = (fixture_corpus / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        sides = [line.split("\t") for line in lines]
+        for i, name in enumerate(("source.txt", "target.txt")):
+            text = "".join(f"{side[i]}\n" for side in sides)
+            (fixture_corpus / name).write_text(text, encoding="utf-8")
+        (fixture_corpus / "pairs.tsv").unlink()
+        config = write_config(
+            fixture_corpus,
+            paths={
+                "corpus_tsv": None,
+                "corpus_source": str(fixture_corpus / "source.txt"),
+                "corpus_target": str(fixture_corpus / "target.txt"),
+            },
+        )
+        assert main(["mine", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == tsv_out
+        assert (fixture_corpus / "pairs.tsv").read_bytes() == tsv_pairs
 
     def test_threshold_above_one_emits_nothing(self, fixture_corpus, capsys):
         config = write_config(fixture_corpus, mining={"threshold": 1.01})
@@ -141,6 +171,14 @@ class TestMineCommand:
                          "eval.lambda_grid[0] inf", id="infinite_lambda"),
             pytest.param({"training": {"weight_decay": -1.0}}, [], "weight_decay -1.0",
                          id="negative_weight_decay"),
+            pytest.param(_CLS_WITHOUT_BLOCKS, [],
+                         "encoder.pooling 'cls' needs encoder.num_blocks >= 1",
+                         id="cls_without_blocks"),
+            pytest.param(_TSV_AND_MOSES, [], "set either corpus_tsv or the Moses paths",
+                         id="tsv_and_moses"),
+            pytest.param(_ONE_MOSES_PATH, [],
+                         "corpus_source and corpus_target must be set together",
+                         id="one_moses_path"),
         ],
     )
     def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override, argv, named):
@@ -234,6 +272,38 @@ class TestTrainCommand:
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert "pairs.tsv" in err
         assert not (fixture_corpus / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            pytest.param(_CLS_WITHOUT_BLOCKS, id="cls_without_blocks"),
+            pytest.param(_TSV_AND_MOSES, id="tsv_and_moses"),
+            pytest.param(_ONE_MOSES_PATH, id="one_moses_path"),
+        ],
+    )
+    def test_bad_config_exits_2_before_training(self, fixture_corpus, capsys, override):
+        assert main(["mine", "--config", str(write_config(fixture_corpus))]) == 0
+        capsys.readouterr()
+        config = write_config(fixture_corpus, **override)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (fixture_corpus / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows, count",
+        [pytest.param("", 0, id="no_pairs"), pytest.param("one a\tone b\n", 1, id="one_pair")],
+    )
+    def test_fewer_than_two_pairs_exits_1(self, fixture_corpus, capsys, rows, count):
+        config = write_config(fixture_corpus)
+        (fixture_corpus / "pairs.tsv").write_text(rows, encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert f"pairs.tsv holds {count} training pairs" in err
+        assert not (fixture_corpus / "model.json").exists()
+        assert not (fixture_corpus / "loss.csv").exists()
 
     def test_loss_row_count(self, fixture_corpus):
         config = write_config(fixture_corpus, training={"epochs": 3, "batch_size": 4})

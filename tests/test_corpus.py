@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sentenc.corpus import (
     AlignedPair,
@@ -16,6 +16,20 @@ from sentenc.corpus import (
 sentence_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=40
 ).filter(lambda s: normalize(s.replace("\t", " ")) != "")
+
+# text rich in the separators that a TSV row must not hold
+breaking_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("\t\r\n\x0b\x0c\x1c\x85\u2028\u2029 ab"),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+
+
+def reference_sanitize(text):
+    """write_pairs' former per-side cleaning, before it became `normalize`."""
+    return normalize(text.replace("\t", " "))
 
 
 class TestParallelTsv:
@@ -142,6 +156,16 @@ class TestWritePairs:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(CorpusError):
             write_pairs([], tmp_path / "no" / "such" / "dir.tsv")
+
+    @given(st.lists(st.tuples(breaking_text, breaking_text), max_size=10))
+    @example([("a\tb\rc", "d\x0ce\u2028f"), ("\t lead", "trail \r\n")])
+    def test_sides_written_as_reference_sanitizer(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("wp") / "pairs.tsv"
+        write_pairs([ParaphrasePair(a, b) for a, b in raw], path)
+        expected = "".join(
+            f"{reference_sanitize(a)}\t{reference_sanitize(b)}\n" for a, b in raw
+        )
+        assert path.read_bytes().decode("utf-8") == expected
 
     @given(st.lists(st.tuples(sentence_text, sentence_text), max_size=20))
     def test_round_trip_property(self, tmp_path_factory, raw):

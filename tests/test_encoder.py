@@ -237,7 +237,7 @@ class TestFusedLstm:
         mask = np.arange(7) < lengths[:, None]
         last, cache = pool(y, mask, "lstm", model.params)
         dh_last = SeededRng(7).uniform(-1, 1, (4, 16))
-        grads = model.zero_grads()
+        grads = model.params.zeros_like()
         dy = lstm_backward(dh_last, lengths, cache, model.params, grads)
         dw_ref, db_ref = np.zeros_like(grads["lstm.w"]), np.zeros_like(grads["lstm.b"])
         for b, n in enumerate(lengths):
@@ -327,9 +327,9 @@ class TestBatchedEncoder:
         model = tiny_model(pooling=pooling, num_blocks=2)
         texts = MIXED[:4]  # 4, 4, 12 and 2 tokens: three of them padded
         upstream = SeededRng(8).uniform(-1, 1, (4, model.config.output_dim))
-        batched = model.zero_grads()
+        batched = model.params.zeros_like()
         _backward(upstream, _forward(token_ids(texts, model), model)[1], model, batched)
-        single = model.zero_grads()
+        single = model.params.zeros_like()
         for text, demb in zip(texts, upstream):
             _backward(demb[None], _forward(token_ids([text], model), model)[1], model, single)
         for name, g in batched.items():

@@ -207,7 +207,7 @@ def coordinate_task(model, n=120, coord=0):
             continue
         records.append(EvalRecord("hi" if v > median else "lo", (s,)))
     third = len(records) // 3
-    return EvalTask("coord", "classification", "single", records[:third], records[third : 2 * third], records[2 * third :])
+    return EvalTask("coord", "classification", records[:third], records[third : 2 * third], records[2 * third :])
 
 
 class TestEvaluate:
@@ -249,7 +249,7 @@ class TestEvaluate:
                 EvalRecord(classes[rng.integers(0, 4)], (s,)) for s in sentences
             ]
             task = EvalTask(
-                "null", "classification", "single",
+                "null", "classification",
                 records[:80], records[80:160], records[160:],
             )
             result = evaluate(model, task, lambda_grid=[1e-2], seed=seed)
@@ -260,6 +260,6 @@ class TestEvaluate:
         records = [EvalRecord("a", ("word1",)), EvalRecord("b", ("word2",))]
         with pytest.raises(EvalError):
             EvalTask(
-                "bad", "classification", "single",
+                "bad", "classification",
                 [records[0]], [records[1]], [records[0]],
             )

@@ -74,7 +74,7 @@ class TestFiniteDifferenceOracle:
 class TestModelBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model("lstm")
-        grads = model.zero_grads()
+        grads = model.params.zeros_like()
         _, cache = _forward(token_ids(TEXTS[:2], model), model)
         _backward(np.zeros((2, 16)), cache, model, grads)
         for g in grads.values():
@@ -86,12 +86,12 @@ class TestModelBackward:
 
         _, cache = _forward(token_ids([TEXTS[0]], model), model)
         with pytest.raises(EncoderError):
-            _backward(np.zeros((1, 5)), cache, model, model.zero_grads())
+            _backward(np.zeros((1, 5)), cache, model, model.params.zeros_like())
 
     def test_embedding_gradient_matches_finite_differences(self):
         model = tiny_model("mean", seed=9)
         upstream = SeededRng(1).uniform(-1, 1, 8)
-        grads = model.zero_grads()
+        grads = model.params.zeros_like()
         _, cache = _forward(token_ids([TEXTS[0]], model), model)
         _backward(upstream[None], cache, model, grads)
 

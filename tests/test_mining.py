@@ -4,12 +4,11 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentenc.corpus import AlignedPair
+from sentenc.corpus import AlignedPair, ParaphrasePair
 from sentenc.mining import (
     MiningConfig,
     MiningError,
     MiningStats,
-    SentenceGroup,
     char_ngram_buckets,
     filter_pairs,
     generate_pairs,
@@ -133,14 +132,11 @@ class TestGroupBySource:
             AlignedPair("s2", "t3"),
         ]
         groups = group_by_source(pairs)
-        assert [(g.source, g.targets) for g in groups] == [
-            ("s1", ["t1", "t2"]),
-            ("s2", ["t3"]),
-        ]
+        assert groups == [["t1", "t2"], ["t3"]]
 
     def test_duplicate_targets_deduplicated(self):
         groups = group_by_source([AlignedPair("s1", "t1"), AlignedPair("s1", "t1")])
-        assert groups[0].targets == ["t1"]
+        assert groups == [["t1"]]
 
     def test_against_brute_force_oracle(self):
         rng = SeededRng(9)
@@ -152,23 +148,22 @@ class TestGroupBySource:
         for p in pairs:
             oracle[p.source].add(p.target)
         groups = group_by_source(pairs)
-        assert len(groups) == len(oracle)
-        for g in groups:
-            assert set(g.targets) == oracle[g.source]
+        # the oracle's keys are in first-seen source order, as the groups are
+        assert [set(targets) for targets in groups] == list(oracle.values())
 
 
 class TestGeneratePairs:
     def test_singleton_group_yields_nothing(self):
-        assert generate_pairs(SentenceGroup("s", ["only"]), SeededRng(1)) == []
+        assert generate_pairs(["only"], SeededRng(1)) == []
 
     def test_two_targets_single_pair(self):
-        out = generate_pairs(SentenceGroup("s", ["t1", "t2"]), SeededRng(1))
+        out = generate_pairs(["t1", "t2"], SeededRng(1))
         assert len(out) == 1
         assert {out[0].a, out[0].b} == {"t1", "t2"}
 
     def test_five_targets_coverage(self):
         targets = [f"t{i}" for i in range(5)]
-        out = generate_pairs(SentenceGroup("s", targets), SeededRng(42))
+        out = generate_pairs(targets, SeededRng(42))
         assert len(out) == 3
         members = [p.a for p in out] + [p.b for p in out]
         assert set(members) == set(targets)
@@ -179,11 +174,27 @@ class TestGeneratePairs:
     @settings(max_examples=200)
     def test_coverage_and_count_property(self, n, seed):
         targets = [f"t{i}" for i in range(n)]
-        out = generate_pairs(SentenceGroup("s", targets), SeededRng(seed))
+        out = generate_pairs(targets, SeededRng(seed))
         assert len(out) == math.ceil(n / 2)
         members = {p.a for p in out} | {p.b for p in out}
         assert members == set(targets)
         assert all(p.a != p.b for p in out)
+
+
+def reference_mine(corpus, enc, threshold, seed):
+    """mine's former dedupe: a seen-set of unordered keys plus an output list."""
+    rng = SeededRng(seed).substream("mining")
+    groups = group_by_source(filter_pairs(corpus, enc, threshold))
+    seen, out = set(), []
+    for index, targets in enumerate(groups):
+        if len(targets) < 2:
+            continue
+        for pair in generate_pairs(targets, rng.substream(f"group{index}")):
+            key = frozenset((pair.a, pair.b))
+            if key not in seen:
+                seen.add(key)
+                out.append(pair)
+    return out
 
 
 class TestMine:
@@ -222,6 +233,30 @@ class TestMine:
         assert all(p.a != p.b for p in out)
         keys = [frozenset((p.a, p.b)) for p in out]
         assert len(keys) == len(set(keys))
+
+    def test_dedupe_matches_reference(self):
+        # many sources over a pool of 4 targets, so most pairs repeat, in
+        # either order, across groups
+        enc = hashed_ngram_encoder(64)
+        reversed_repeats = 0
+        for seed in range(30):
+            rng = SeededRng(seed)
+            corpus = [
+                AlignedPair(f"s{rng.integers(0, 12)}", f"t{rng.integers(0, 4)}")
+                for _ in range(60)
+            ]
+            out = mine(corpus, enc, self._config(), seed=seed)
+            assert out == reference_mine(corpus, enc, 0.0, seed)
+            generated = [
+                pair
+                for index, targets in enumerate(group_by_source(corpus))
+                if len(targets) >= 2
+                for pair in generate_pairs(
+                    targets, SeededRng(seed).substream("mining").substream(f"group{index}")
+                )
+            ]
+            reversed_repeats += sum(ParaphrasePair(p.b, p.a) in generated for p in out)
+        assert reversed_repeats > 0
 
     def test_stats_counts(self):
         corpus = [

@@ -297,6 +297,17 @@ class TestDedupePositives:
         assert Counter(p for batch in batches for p in batch) == before
 
 
+def reference_lr_schedule(step, total_steps, peak, warmup_ratio):
+    """lr_schedule as it was with its `total_steps == warmup` branch, which
+    the warmup branch always returns before."""
+    warmup = math.ceil(warmup_ratio * total_steps)
+    if warmup > 0 and step <= warmup:
+        return peak * step / warmup
+    if total_steps == warmup:
+        return peak if step == warmup else 0.0
+    return peak * (total_steps - step) / (total_steps - warmup)
+
+
 class TestLrSchedule:
     def test_peak_at_warmup_end(self):
         total, ratio = 100, 0.10
@@ -323,6 +334,17 @@ class TestLrSchedule:
         assert lr_schedule(0, 10, 1.0, 0.0) == 1.0
         assert lr_schedule(10, 10, 1.0, 0.0) == 0.0
 
+    def test_equals_reference_with_full_warmup_branch(self):
+        full_warmup = 0
+        for total in range(1, 41):
+            for ratio in (0.0, 0.05, 0.1, 0.5, 0.99, 1.0):
+                full_warmup += math.ceil(ratio * total) == total
+                for step in range(total + 1):
+                    assert lr_schedule(step, total, 0.3, ratio) == reference_lr_schedule(
+                        step, total, 0.3, ratio
+                    )
+        assert full_warmup > 0  # the removed branch's condition does occur
+
 
 class TestMakeBatches:
     @staticmethod
@@ -333,9 +355,14 @@ class TestMakeBatches:
         batches = make_batches(self._pairs(130), 64, SeededRng(1))
         assert [len(b) for b in batches] == [64, 64, 2]
 
-    def test_single_pair_retained(self):
-        batches = make_batches(self._pairs(1), 64, SeededRng(1))
-        assert [len(b) for b in batches] == [1]
+    def test_single_pair_rejected(self):
+        with pytest.raises(ValueError, match="1 training pairs"):
+            make_batches(self._pairs(1), 64, SeededRng(1))
+
+    def test_trailing_singleton_dropped_at_any_size(self):
+        for n, k in ((3, 2), (5, 4), (9, 8)):
+            batches = make_batches(self._pairs(n), k, SeededRng(1))
+            assert [len(b) for b in batches] == [k] * (n // k)
 
     def test_drops_trailing_singleton(self):
         batches = make_batches(self._pairs(65), 64, SeededRng(1))
