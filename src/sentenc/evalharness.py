@@ -34,8 +34,12 @@ class EvalTask:
     def __post_init__(self):
         if not (self.train and self.validation and self.test):
             raise EvalError(f"task {self.name}: all three splits must be nonempty")
+        if len(self.train) < 2:
+            raise EvalError(f"task {self.name}: train split needs at least 2 records")
         if self.kind == "classification":
             train_classes = {r.label for r in self.train}
+            if len(train_classes) < 2:
+                raise EvalError(f"task {self.name}: train split needs at least 2 distinct labels")
             for split_name, split in (("validation", self.validation), ("test", self.test)):
                 extra = {r.label for r in split} - train_classes
                 if extra:
@@ -217,7 +221,10 @@ def evaluate(
         if score > best_score:
             probe, best_score = candidate, score
     if probe is None:
-        raise EvalError("no usable regularization candidate")
+        raise EvalError(
+            f"task {task.name}: no lambda in the grid gave a validation score "
+            "(constant validation labels or predictions)"
+        )
     value = _score(probe, feats["test"], task.test, task.kind)
     metric = "accuracy" if task.kind == "classification" else "spearman"
     return EvalResult(task.name, metric, value, probe.l2)

@@ -66,7 +66,8 @@ def char_ngram_buckets(text: str, dimension: int, n: int = 3) -> list[int]:
 
 
 def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
-    """L2-normalized counts of character 3-grams hashed into `dimension` buckets.
+    """Counts of character 3-grams hashed into `dimension` buckets; the cosine
+    in `filter_pairs` normalises them.
 
     A desk-scale stand-in for a pretrained multilingual filter model: cheap,
     deterministic, and similarity-preserving for surface-close sentences.
@@ -75,21 +76,19 @@ def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
         raise MiningError(f"hashed n-gram encoder needs dimension >= {MIN_FILTER_DIMENSION}")
 
     def encode(text: str) -> np.ndarray:
-        vec = np.zeros(dimension, dtype=np.float64)
-        for bucket in char_ngram_buckets(text, dimension):
-            vec[bucket] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        buckets = char_ngram_buckets(text, dimension)
+        if not buckets:
             raise MiningError(f"cannot encode empty text {text!r}")
-        return vec / norm
+        return np.bincount(buckets, minlength=dimension).astype(np.float64)
 
     return encode
 
 
 def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
     """Exact-lookup encoder over a TSV of `sentence<TAB>v1 v2 ... vD`; every
-    vector must be finite and of one dimension."""
-    table: dict[str, np.ndarray] = {}
+    vector must be finite and of one dimension, and two rows whose sentences
+    normalise alike must repeat one vector."""
+    table: dict[str, tuple[str, np.ndarray]] = {}
     dim: int | None = None
     for where, (sentence, values) in numbered_rows(path, "embedding file", 2):
         try:
@@ -102,13 +101,15 @@ def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
             raise MiningError(f"{where}: dimension {vec.shape[0]} != {dim}")
-        table[normalize(sentence)] = vec
+        first, seen = table.setdefault(normalize(sentence), (where, vec))
+        if not np.array_equal(seen, vec):
+            raise MiningError(f"{where}: vector differs from {first} for the same sentence")
 
     def encode(text: str) -> np.ndarray:
         key = normalize(text)
         if key not in table:
             raise MiningError(f"no precomputed embedding for {key!r}")
-        return table[key]
+        return table[key][1]
 
     return encode
 

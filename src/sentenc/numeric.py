@@ -1,5 +1,5 @@
-"""Deterministic numeric kernel: cosine similarity, stable log-sum-exp and
-softmax, seeded RNG.
+"""Deterministic numeric kernel: unit rows and cosine similarity, stable
+log-sum-exp and softmax, seeded RNG.
 
 All arithmetic is float64. The RNG is PCG64, a fixed platform-independent
 generator; named sub-streams let each pipeline stage (mining, training,
@@ -18,20 +18,26 @@ from .errors import NumericError
 
 T = TypeVar("T")
 
-_TINY = np.finfo(np.float64).tiny  # smallest normal float
+# a row whose norm is below this has a subnormal square norm
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
-def _square_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(v, v @ v), with v first scaled by its max-abs entry when v @ v is not
-    a normal float: a square that underflows to a subnormal loses precision."""
-    vv = float(v @ v)
-    if _TINY <= vv < math.inf:
-        return v, vv
-    scale = float(np.max(np.abs(v), initial=0.0))
-    if scale == 0.0:
-        raise NumericError("zero-norm vector in cosine_similarity")
-    v = v / scale
-    return v, float(v @ v)
+def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
+    """(x / norms, norms) over the rows of a 2-d array; the one place a vector
+    is divided by its norm. A row whose square norm is not a normal float is
+    first divided by its max-abs entry, and its true norm is returned. An
+    all-zero row raises NumericError; `x` itself is never written."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    if _SQRT_TINY <= norms.min(initial=math.inf) and norms.max(initial=0.0) < math.inf:
+        return x / norms[:, None], norms
+    odd = ~((norms >= _SQRT_TINY) & (norms < math.inf))
+    scale = np.where(odd, np.max(np.abs(x), axis=1, initial=0.0), 1.0)
+    if not scale.all():
+        raise NumericError("zero-norm vector")
+    x = x / scale[:, None]
+    norms = np.linalg.norm(x, axis=1)
+    return x / norms[:, None], scale * norms
 
 
 def cosine_similarity(x, y) -> float:
@@ -40,15 +46,10 @@ def cosine_similarity(x, y) -> float:
     Raises NumericError on dimension mismatch or a zero-norm input; a zero
     embedding signals an upstream bug and must not be silently absorbed.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise NumericError("cosine_similarity expects 1-d vectors")
-    if x.shape != y.shape:
-        raise NumericError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    x, xx = _square_norm(x)
-    y, yy = _square_norm(y)
-    cos = float(x @ y) / (math.sqrt(xx) * math.sqrt(yy))
+    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
+        raise NumericError(f"need two equal 1-d shapes, got {np.shape(x)} and {np.shape(y)}")
+    u, _ = unit_rows(np.array([x, y], dtype=np.float64))
+    cos = float(u[0] @ u[1])
     return math.copysign(1.0, cos) if abs(cos) > 1.0 else cos
 
 

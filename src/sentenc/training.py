@@ -15,8 +15,8 @@ import numpy as np
 
 from .corpus import ParaphrasePair, atomic_write
 from .encoder import EncoderModel, ParamSet, _backward, encode
-from .errors import DivergenceError
-from .numeric import SeededRng, logsumexp, softmax
+from .errors import DivergenceError, NumericError
+from .numeric import SeededRng, logsumexp, softmax, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -83,11 +83,10 @@ def similarity_matrix(a: np.ndarray, b: np.ndarray, temperature: float = 1.0):
     positives b. Returns (matrix, cache); the cache holds the unit rows and
     norms of both sides and the cosines, which the gradient of the matrix
     needs."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise DivergenceError("zero-norm sentence embedding in batch")
-    an, bn = a / na[:, None], b / nb[:, None]
+    try:
+        (an, na), (bn, nb) = unit_rows(a), unit_rows(b)
+    except NumericError as exc:
+        raise DivergenceError("zero-norm sentence embedding in batch") from exc
     cos = an @ bn.T
     return cos / temperature, (an, na, bn, nb, cos)
 

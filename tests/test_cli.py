@@ -1,6 +1,9 @@
 import base64
 import errno
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +205,44 @@ class TestMineCommand:
             assert "Traceback" not in err
             assert err.startswith("I/O error:") and err.count("\n") == 1
             assert "vectors.tsv:1" in err
+
+    def test_conflicting_precomputed_duplicate_exits_1(self, fixture_corpus, capsys):
+        vectors = fixture_corpus / "vectors.tsv"
+        vectors.write_text("hello world\t1 2 3\nhello   world\t4 5 6\n", encoding="utf-8")
+        config = write_config(
+            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+        )
+        assert main(["mine", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert "vectors.tsv:2" in err and "vectors.tsv:1" in err
+        assert not (fixture_corpus / "pairs.tsv").exists()
+
+
+def _synthetic_pipeline():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_pipeline", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSyntheticPipelineMiningBytes:
+    """`mine` as scripts/run_synthetic_pipeline.py runs it; pairs.tsv depends
+    only on the filter arithmetic, not on BLAS, so its bytes are pinned."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (2, "43bea6a1575c554af419b475723e960f49dfe5e277ccdd9f8b62139eea38ba08"),
+            (7, "fc2ffca01a3391d503d4c24195b3e6b5a32c789fb2882dc0e12da23f92b95140"),
+        ],
+    )
+    def test_pairs_sha256(self, tmp_path, seed, digest):
+        config = _synthetic_pipeline().build_workdir(tmp_path, seed)
+        assert main(["mine", "--config", str(config)]) == 0
+        assert hashlib.sha256((tmp_path / "pairs.tsv").read_bytes()).hexdigest() == digest
 
 
 class TestTrainCommand:
@@ -461,6 +502,9 @@ class TestBadCheckpoint:
         assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
+_EVEN = ["even"] * 30
+
+
 class TestEvalCommand:
     @staticmethod
     def _write_task(tmp_path, name, kind="classification"):
@@ -510,3 +554,33 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
+
+    @staticmethod
+    def _relabel(path, labels):
+        """Give the split's first len(labels) rows these labels; drop the rest."""
+        texts = [row.split("\t", 1)[1] for row in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(f"{y}\t{t}\n" for y, t in zip(labels, texts)), encoding="utf-8")
+
+    # one label throughout, so no split holds a class the train split lacks
+    @pytest.mark.parametrize(
+        "kind, labels",
+        [
+            ("classification", {"train": ["even"], "validation": _EVEN, "test": _EVEN}),
+            ("classification", {"train": _EVEN, "validation": _EVEN, "test": _EVEN}),
+            ("regression", {"validation": ["1.0"] * 30}),  # constant validation scores
+        ],
+        ids=["one-train-row", "one-label", "constant-validation"],
+    )
+    def test_degenerate_task_exits_1_naming_it(self, fixture_corpus, capsys, kind, labels):
+        task = self._write_task(fixture_corpus, "taskA", kind)
+        for split, split_labels in labels.items():
+            self._relabel(fixture_corpus / f"taskA.{split}.tsv", split_labels)
+        config = write_config(fixture_corpus, eval={"tasks": [task], "lambda_grid": [1e-3]})
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error: task taskA:") and err.count("\n") == 1
+        assert not (fixture_corpus / "results.csv").exists()

@@ -257,9 +257,9 @@ class TestEvaluate:
         assert abs(np.mean(accs) - 0.25) <= 0.1
 
     def test_validation_splits_missing_class_rejected(self):
-        records = [EvalRecord("a", ("word1",)), EvalRecord("b", ("word2",))]
-        with pytest.raises(EvalError):
+        records = [EvalRecord(label, (f"word{i}",)) for i, label in enumerate("abc")]
+        with pytest.raises(EvalError, match="validation classes"):
             EvalTask(
                 "bad", "classification",
-                [records[0]], [records[1]], [records[0]],
+                [records[0], records[2]], [records[1]], [records[0]],
             )

@@ -1,6 +1,7 @@
 import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,11 +44,16 @@ class TestHashedNgramEncoder:
         with pytest.raises(MiningError):
             hashed_ngram_encoder(8)
 
-    def test_unit_norm(self):
-        enc = hashed_ngram_encoder(128)
-        import numpy as np
+    @pytest.mark.parametrize("text", ["some text", "a", "aaaa aaaa", "zażółć gęślą", "猫が寝た 🐈"])
+    def test_counts(self, text):
+        vec = hashed_ngram_encoder(128)(text)
+        assert vec.dtype == np.float64
+        assert np.array_equal(vec, np.bincount(char_ngram_buckets(text, 128), minlength=128))
 
-        assert np.linalg.norm(enc("some text")) == pytest.approx(1.0)
+    @pytest.mark.parametrize("text", ["", "  \t "])
+    def test_empty_text_is_error(self, text):
+        with pytest.raises(MiningError):
+            hashed_ngram_encoder(64)(text)
 
 
 class TestPrecomputedEncoder:
@@ -69,6 +75,18 @@ class TestPrecomputedEncoder:
         p.write_text("a\t1 2 3\nb\t1 2 3 4\n", encoding="utf-8")
         with pytest.raises(MiningError):
             precomputed_encoder(p)
+
+
+    def test_conflicting_duplicate_names_both_lines(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("hello world\t1 2 3\nother\t1 1 1\nhello   world\t4 5 6\n", encoding="utf-8")
+        with pytest.raises(MiningError, match=r"emb\.tsv:3: .*emb\.tsv:1"):
+            precomputed_encoder(p)
+
+    def test_identical_repeat_accepted(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("hello world\t1 2 3\n hello world\t1.0 2 3e0\n", encoding="utf-8")
+        assert precomputed_encoder(p)("hello world").tolist() == [1.0, 2.0, 3.0]
 
 
 class TestFilterPairs:

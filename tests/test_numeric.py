@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sentenc.numeric import NumericError, SeededRng, cosine_similarity, logsumexp
+from sentenc.numeric import NumericError, SeededRng, cosine_similarity, logsumexp, unit_rows
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -68,6 +68,54 @@ class TestCosineSimilarity:
         if np.linalg.norm(x) == 0 or np.linalg.norm(y) == 0:
             return
         assert abs(cosine_similarity(x, y)) <= 1.0 + 1e-12
+
+
+# rows of 1-8 finite entries whose square norm is a normal float
+ordinary_rows = st.integers(1, 8).flatmap(
+    lambda d: st.lists(st.lists(finite_floats, min_size=d, max_size=d), min_size=1, max_size=6)
+).filter(lambda rows: all(np.linalg.norm(r) >= 1.5e-154 for r in rows))
+
+
+class TestUnitRows:
+    @given(ordinary_rows)
+    def test_ordinary_rows_match_plain_division(self, rows):
+        x = np.array(rows)
+        unit, norms = unit_rows(x)
+        reference = np.linalg.norm(x, axis=1)
+        assert np.array_equal(norms, reference)
+        assert np.array_equal(unit, x / reference[:, None])
+
+    @pytest.mark.parametrize(
+        "row, norm",
+        [
+            ([3e-160, 4e-160], 5e-160),  # square norm subnormal
+            ([5e-324, 0.0], 5e-324),  # square norm underflows to 0
+            ([3e200, -4e200], 5e200),  # square norm overflows
+            ([1.5e308, 1.5e308], math.inf),  # so does the norm itself
+        ],
+    )
+    def test_odd_rows_come_out_unit_with_true_norm(self, row, norm):
+        x = np.array([[1.0, 2.0], row])
+        with np.errstate(over="ignore"):
+            unit, norms = unit_rows(x)
+        assert np.array_equal(unit[0], x[0] / np.linalg.norm(x[0]))
+        assert norms[1] == pytest.approx(norm, rel=1e-15)
+        if math.isfinite(norm):
+            assert unit[1] == pytest.approx(np.array(row) / norm, rel=1e-15)
+        assert np.linalg.norm(unit, axis=1) == pytest.approx([1.0, 1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("x", [[[0.0, 0.0]], [[1.0, 2.0], [0.0, -0.0]], [[1e-170, 0.0], [0.0, 0.0]]])
+    def test_zero_row_is_error(self, x):
+        with pytest.raises(NumericError):
+            unit_rows(np.array(x))
+
+    @pytest.mark.parametrize("x", [[[3.0, 4.0], [1.0, 1.0]], [[3.0, 4.0], [1e-170, 2e-170]]])
+    def test_input_is_not_written(self, x):
+        x = np.array(x)
+        before = x.copy()
+        unit, _ = unit_rows(x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(unit, x)
 
 
 class TestLogSumExp:
