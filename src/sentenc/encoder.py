@@ -16,7 +16,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -51,17 +51,14 @@ def word_tokens(text: str) -> list[str]:
 @dataclass
 class Vocabulary:
     tokens: list[str]  # in id order; specials first
-    index: dict[str, int] = field(repr=False)
 
-    @classmethod
-    def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
-        index = {t: i for i, t in enumerate(tokens)}
-        if len(index) != len(tokens):
+    def __post_init__(self):
+        self.index = {t: i for i, t in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
             raise EncoderError("duplicate tokens in vocabulary")
         for tok, want in zip(SPECIAL_TOKENS, range(3)):
-            if index.get(tok) != want:
+            if self.index.get(tok) != want:
                 raise EncoderError("special tokens missing or misplaced")
-        return cls(tokens, index)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -77,7 +74,7 @@ def build_vocabulary(sentences: Iterable[str], min_count: int = 1) -> Vocabulary
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary.from_tokens(list(SPECIAL_TOKENS) + kept)
+    return Vocabulary(list(SPECIAL_TOKENS) + kept)
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
@@ -481,7 +478,7 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
                 f"{CHECKPOINT_FORMAT} (base64 float64 tensors) is read"
             )
         config = EncoderConfig(**doc["config"])
-        vocab = Vocabulary.from_tokens(doc["vocab"])
+        vocab = Vocabulary(doc["vocab"])
         expected = param_shapes(config, len(vocab))
         stored = {(name, tuple(entry["shape"])) for name, entry in doc["params"].items()}
         diff = set(expected.items()) ^ stored

@@ -50,10 +50,7 @@ class EvalTask:
 
 @dataclass
 class ProbeModel:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    params: ParamSet  # w1, b1, w2, b2
     classes: list[str] | None  # None for regression
     l2: float
 
@@ -76,9 +73,9 @@ def featurize(records: list[EvalRecord], model: EncoderModel) -> np.ndarray:
     return np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
 
 
-def _probe_forward(probe: ProbeModel, x: np.ndarray):
-    hidden = np.tanh(x @ probe.w1 + probe.b1)
-    return hidden, hidden @ probe.w2 + probe.b2
+def _probe_forward(params: ParamSet, x: np.ndarray):
+    hidden = np.tanh(x @ params["w1"] + params["b1"])
+    return hidden, hidden @ params["w2"] + params["b2"]
 
 
 def train_probe(
@@ -116,11 +113,10 @@ def train_probe(
     )
     params["w1"][...] = _glorot(rng.substream("w1"), in_dim, hidden, (in_dim, hidden))
     params["w2"][...] = _glorot(rng.substream("w2"), hidden, out_dim, (hidden, out_dim))
-    probe = ProbeModel(**params, classes=classes, l2=l2)
     grads = params.zeros_like()
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     for step in range(1, PROBE_ITERATIONS + 1):
-        hidden_act, out = _probe_forward(probe, x)
+        hidden_act, out = _probe_forward(params, x)
         if kind == "classification":
             dout = softmax(out)
             dout[np.arange(n), y_idx] -= 1.0
@@ -128,19 +124,19 @@ def train_probe(
         else:
             dout = 2.0 * (out[:, 0] - y)[:, None] / n
         np.matmul(hidden_act.T, dout, out=grads["w2"])
-        grads["w2"] += 2.0 * l2 * probe.w2
+        grads["w2"] += 2.0 * l2 * params["w2"]
         dout.sum(axis=0, out=grads["b2"])
-        dhidden = (dout @ probe.w2.T) * (1.0 - hidden_act**2)
+        dhidden = (dout @ params["w2"].T) * (1.0 - hidden_act**2)
         np.matmul(x.T, dhidden, out=grads["w1"])
-        grads["w1"] += 2.0 * l2 * probe.w1
+        grads["w1"] += 2.0 * l2 * params["w1"]
         dhidden.sum(axis=0, out=grads["b1"])
         step_lr = lr_schedule(step, PROBE_ITERATIONS, PROBE_LR, 0.1)
         adamw_step(params, grads, state, step_lr, weight_decay=0.0)
-    return probe
+    return ProbeModel(params, classes, l2)
 
 
 def predict(probe: ProbeModel, features: np.ndarray):
-    _, out = _probe_forward(probe, np.asarray(features, dtype=np.float64))
+    _, out = _probe_forward(probe.params, np.asarray(features, dtype=np.float64))
     if probe.classes is not None:
         return [probe.classes[i] for i in out.argmax(axis=1)]
     return out[:, 0]
@@ -184,9 +180,9 @@ def spearman(x, y) -> float:
     return float(cov / np.sqrt(vx * vy))
 
 
-def _score(probe: ProbeModel, features: np.ndarray, records: list[EvalRecord], kind: str) -> float:
+def _score(probe: ProbeModel, features: np.ndarray, records: list[EvalRecord]) -> float:
     preds = predict(probe, features)
-    if kind == "classification":
+    if probe.classes is not None:
         return accuracy(preds, [r.label for r in records])
     return spearman(preds, [r.label for r in records])
 
@@ -215,7 +211,7 @@ def evaluate(
     for l2 in lambda_grid:
         candidate = train_probe(feats["train"], train_labels, task.kind, hidden, l2, seed)
         try:
-            score = _score(candidate, feats["validation"], task.validation, task.kind)
+            score = _score(candidate, feats["validation"], task.validation)
         except EvalError:  # e.g. constant predictions under extreme l2
             score = -np.inf
         if score > best_score:
@@ -225,6 +221,6 @@ def evaluate(
             f"task {task.name}: no lambda in the grid gave a validation score "
             "(constant validation labels or predictions)"
         )
-    value = _score(probe, feats["test"], task.test, task.kind)
+    value = _score(probe, feats["test"], task.test)
     metric = "accuracy" if task.kind == "classification" else "spearman"
     return EvalResult(task.name, metric, value, probe.l2)

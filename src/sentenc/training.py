@@ -55,19 +55,14 @@ class TrainConfig:
             raise ValueError(f"weight_decay {self.weight_decay!r} must be >= 0")
 
 
-@dataclass
 class OptimizerState:
-    m: ParamSet
-    v: ParamSet
-    # two work vectors of at most ADAMW_BLOCK elements; each block of the
-    # update runs in views of them
-    scratch: tuple[np.ndarray, np.ndarray]
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, params: ParamSet) -> "OptimizerState":
+    def __init__(self, params: ParamSet):
+        self.m, self.v = params.zeros_like(), params.zeros_like()
+        # two work vectors of at most ADAMW_BLOCK elements; each block of the
+        # update runs in views of them
         size = min(params.flat.size, ADAMW_BLOCK)
-        return cls(params.zeros_like(), params.zeros_like(), (np.empty(size), np.empty(size)))
+        self.scratch = (np.empty(size), np.empty(size))
+        self.step = 0
 
 
 @dataclass
@@ -234,14 +229,12 @@ def train(
         for epoch in range(config.epochs)
         for batch in make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
     ]
-    state = OptimizerState.for_params(model.params)
+    state = OptimizerState(model.params)
     history: list[StepRecord] = []
     try:
         with np.errstate(over="raise", invalid="raise"):
             for step, (epoch, batch_pairs) in enumerate(schedule, start=1):
                 loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at step {step}")
                 lr = lr_schedule(step, len(schedule), config.peak_lr, config.warmup_ratio)
                 adamw_step(model.params, grads, state, lr, config.weight_decay)
                 del grads  # free them before the next batch builds its own

@@ -63,7 +63,7 @@ class TestVocabulary:
 
     def test_rejects_misplaced_specials(self):
         with pytest.raises(EncoderError):
-            Vocabulary.from_tokens(["a", "<pad>", "<unk>", "<cls>"])
+            Vocabulary(["a", "<pad>", "<unk>", "<cls>"])
 
 
 class TestTokenize:

@@ -169,14 +169,14 @@ class TestTrainProbe:
     def test_huge_l2_crushes_weights(self):
         features, labels = self._separable()
         probe = train_probe(features, labels, "classification", hidden=16, l2=1e6, seed=1)
-        assert np.linalg.norm(probe.w1) < 1e-2
+        assert np.linalg.norm(probe.params["w1"]) < 1e-2
 
     def test_deterministic(self):
         features, labels = self._separable()
         a = train_probe(features, labels, "classification", hidden=8, l2=1e-3, seed=9)
         b = train_probe(features, labels, "classification", hidden=8, l2=1e-3, seed=9)
-        assert np.array_equal(a.w1, b.w1)
-        assert np.array_equal(a.w2, b.w2)
+        assert np.array_equal(a.params["w1"], b.params["w1"])
+        assert np.array_equal(a.params["w2"], b.params["w2"])
 
     def test_single_class_is_error(self):
         features = np.ones((4, 2))

@@ -114,7 +114,7 @@ class TestAdamW:
     def _setup(value=1.0):
         params = ParamSet({"w": (4,)})
         params["w"][...] = value
-        return params, OptimizerState.for_params(params)
+        return params, OptimizerState(params)
 
     @staticmethod
     def _grads(values):
@@ -176,7 +176,7 @@ class TestAdamWInPlace:
     def _run_against_reference(self):
         params = self._params()
         ref = {k: p.copy() for k, p in params.items()}
-        state = OptimizerState.for_params(params)
+        state = OptimizerState(params)
         m = {k: np.zeros_like(p) for k, p in ref.items()}
         v = {k: np.zeros_like(p) for k, p in ref.items()}
         rng = SeededRng(5)
@@ -205,7 +205,7 @@ class TestAdamWInPlace:
 
     def test_scratch_is_reused(self):
         params = self._params()
-        state = OptimizerState.for_params(params)
+        state = OptimizerState(params)
         s1, s2 = state.scratch
         assert s1.size == s2.size == min(params.flat.size, ADAMW_BLOCK)
         grads = params.zeros_like()
