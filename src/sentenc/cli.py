@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import RunConfig, load_run_config
+from .config import RunConfig, load_run_config, reject_overwrite
 from .corpus import (
     atomic_write,
     open_input,
@@ -83,6 +83,7 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
+    reject_overwrite({"--output": output_path}, {"--input": input_path, **config.named_paths()})
     model = load_model(config.paths.checkpoint)
     with open_input(input_path, "input file") as handle:
         # only "\n" ends a line: str.splitlines would also break at form

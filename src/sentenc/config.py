@@ -56,6 +56,14 @@ class EvalConfig:
     hidden: int = DEFAULT_HIDDEN
 
     def __post_init__(self):
+        names = [task.name for task in self.tasks]
+        for name in names:
+            # results.csv writes the name unquoted as its first field
+            if not name or any(c in name for c in ',"\r\n') or names.count(name) > 1:
+                raise ValueError(
+                    f"task name {name!r} must be nonempty, unique and free of "
+                    "commas, double quotes and line breaks"
+                )
         if not self.lambda_grid or min(self.lambda_grid) < 0:
             raise ValueError(
                 f"lambda_grid {self.lambda_grid!r} must be a non-empty list of numbers >= 0"
@@ -82,6 +90,10 @@ class PathsConfig:
             raise ValueError("corpus_source and corpus_target must be set together")
 
 
+# the files the commands write; none may be another file the config names
+OUTPUT_KEYS = ("paths.pairs", "paths.checkpoint", "paths.loss_csv", "paths.eval_report")
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -103,6 +115,27 @@ class RunConfig:
                 "encoder.pooling 'cls' needs encoder.num_blocks >= 1: without "
                 "attention every sentence encodes to the <cls> embedding"
             )
+        named = self.named_paths()
+        reject_overwrite({key: named[key] for key in OUTPUT_KEYS}, named)
+
+    def named_paths(self) -> dict[str, str]:
+        """Every file path the config sets, keyed by its config key."""
+        named = {f"paths.{name}": path for name, path in vars(self.paths).items()}
+        named["filter_encoder.path"] = self.filter_encoder.path
+        for i, task in enumerate(self.eval.tasks):
+            for split in ("train", "validation", "test"):
+                named[f"eval.tasks[{i}].{split}"] = getattr(task, split)
+        return {key: path for key, path in named.items() if path is not None}
+
+
+def reject_overwrite(outputs: dict[str, str], named: dict[str, str]) -> None:
+    """ConfigError if a path in `outputs` resolves to the same file as any
+    other path in `named`: writing it would destroy that file."""
+    real = {key: os.path.realpath(path) for key, path in named.items()}
+    for out, path in outputs.items():
+        for key, other in real.items():
+            if key != out and other == os.path.realpath(path):
+                raise ConfigError(f"{out} and {key} name the same file {path}")
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}

@@ -46,6 +46,13 @@ class EvalTask:
                     raise EvalError(
                         f"task {self.name}: {split_name} classes {extra} not in train"
                     )
+        else:  # spearman needs two distinct scores in each scored split
+            for split_name, split in (("validation", self.validation), ("test", self.test)):
+                if len({r.label for r in split}) < 2:
+                    raise EvalError(
+                        f"task {self.name}: {split_name} split needs at least 2 "
+                        "records with 2 distinct scores"
+                    )
 
 
 @dataclass

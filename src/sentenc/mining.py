@@ -95,6 +95,8 @@ def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
             vec = np.array([float(v) for v in values.split()], dtype=np.float64)
         except ValueError as exc:
             raise MiningError(f"{where}: bad vector") from exc
+        if vec.size == 0:
+            raise MiningError(f"{where}: empty vector")
         if not np.all(np.isfinite(vec)):
             raise MiningError(f"{where}: non-finite value")
         if dim is None:

@@ -182,6 +182,37 @@ class TestMineCommand:
             pytest.param(_ONE_MOSES_PATH, [],
                          "corpus_source and corpus_target must be set together",
                          id="one_moses_path"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "name": "cluster,half"}]}}, [],
+                         "task name 'cluster,half'", id="comma_task_name"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "name": 'say "hi"'}]}}, [],
+                         "task name 'say \"hi\"'", id="quote_task_name"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "name": "a\rb"}]}}, [],
+                         "task name 'a\\rb'", id="cr_task_name"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "name": "a\nb"}]}}, [],
+                         "task name 'a\\nb'", id="lf_task_name"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "name": ""}]}}, [],
+                         "task name ''", id="empty_task_name"),
+            pytest.param({"eval": {"tasks": [_TASK, {**_TASK, "kind": "regression"}]}}, [],
+                         "task name 't'", id="repeated_task_name"),
+            pytest.param({"eval": {"lambda_grid": 3}}, [], "eval.lambda_grid 3 must be a list",
+                         id="scalar_lambda_grid"),
+            pytest.param({"min_count": 0}, [], "min_count 0", id="zero_min_count"),
+            pytest.param({"filter_encoder": {"type": "precomputed"}}, [],
+                         "precomputed filter encoder needs a path", id="precomputed_without_path"),
+            pytest.param({"encoder": {"embed_dim": 0}}, [], "dimensions must be positive",
+                         id="zero_embed_dim"),
+            pytest.param({"encoder": {"num_blocks": -1}}, [], "num_blocks must be >= 0",
+                         id="negative_num_blocks"),
+            pytest.param({"encoder": {"max_len": 1}}, [], "max_len must be >= 2",
+                         id="max_len_1"),
+            pytest.param({"training": {"warmup_ratio": 1.5}}, [], "warmup_ratio must be in [0, 1]",
+                         id="warmup_ratio_above_1"),
+            pytest.param({"training": {"peak_lr": 0}}, [], "peak_lr must be positive",
+                         id="zero_peak_lr"),
+            pytest.param({"training": {"temperature": 0}}, [], "temperature must be positive",
+                         id="zero_temperature"),
+            pytest.param({"paths": {"corpus_tsv": None}}, [],
+                         "config must set paths.corpus_tsv or both Moses paths", id="no_corpus"),
         ],
     )
     def test_unknown_config_key_exits_2(self, fixture_corpus, capsys, override, argv, named):
@@ -193,12 +224,76 @@ class TestMineCommand:
         assert named in err
         assert not (fixture_corpus / "pairs.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            pytest.param(None, "cannot read config", id="missing_file"),
+            pytest.param("{", "is not valid JSON", id="invalid_json"),
+            pytest.param("[]", "top level: expected an object", id="top_level_array"),
+        ],
+    )
+    def test_unloadable_config_exits_2(self, tmp_path, capsys, content, named):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        assert main(["mine", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "output, other",
+        [
+            ("paths.pairs", "paths.corpus_tsv"),
+            ("paths.pairs", "paths.checkpoint"),
+            ("paths.checkpoint", "paths.loss_csv"),
+            ("paths.loss_csv", "paths.eval_report"),
+            ("paths.eval_report", "paths.corpus_source"),
+            ("paths.checkpoint", "paths.corpus_target"),
+            ("paths.pairs", "filter_encoder.path"),
+            ("paths.loss_csv", "eval.tasks[0].train"),
+            ("paths.eval_report", "eval.tasks[0].validation"),
+            ("paths.checkpoint", "eval.tasks[0].test"),
+        ],
+    )
+    def test_colliding_paths_exit_2(self, fixture_corpus, capsys, output, other):
+        """An output spelled differently from another file the config names
+        but resolving to it is refused before that file is touched."""
+        shared = fixture_corpus / "shared.tsv"
+        shared.write_bytes((fixture_corpus / "corpus.tsv").read_bytes())
+        overrides = {
+            "paths": {},
+            "eval": {"tasks": [{**_TASK, **{s: str(fixture_corpus / f"t.{s}.tsv")
+                                            for s in ("train", "validation", "test")}}]},
+        }
+        if other in ("paths.corpus_source", "paths.corpus_target"):
+            overrides["paths"].update(
+                corpus_tsv=None,
+                corpus_source=str(fixture_corpus / "source.txt"),
+                corpus_target=str(fixture_corpus / "target.txt"),
+            )
+        if other == "filter_encoder.path":
+            overrides["filter_encoder"] = {"type": "precomputed", "path": str(shared)}
+        elif other.startswith("eval."):
+            overrides["eval"]["tasks"][0][other.rsplit(".", 1)[1]] = str(shared)
+        else:
+            overrides["paths"][other.split(".")[1]] = str(shared)
+        overrides["paths"][output.split(".")[1]] = str(fixture_corpus / "sub" / ".." / "shared.tsv")
+        config = write_config(fixture_corpus, **overrides)
+        assert main(["mine", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{output} and {other} name the same file" in err
+        assert shared.read_bytes() == (fixture_corpus / "corpus.tsv").read_bytes()
+        assert not (fixture_corpus / "pairs.tsv").exists()
+
     def test_malformed_precomputed_file_exits_1(self, fixture_corpus, capsys):
         vectors = fixture_corpus / "vectors.tsv"
         config = write_config(
             fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
         )
-        for content in ("a sentence without a vector\n", "hello\t1 nan 3\n"):
+        for content in ("a sentence without a vector\n", "hello\t1 nan 3\n", "hello\t1 x 3\n"):
             vectors.write_text(content, encoding="utf-8")
             assert main(["mine", "--config", str(config)]) == 1
             err = capsys.readouterr().err
@@ -217,6 +312,21 @@ class TestMineCommand:
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert "vectors.tsv:2" in err and "vectors.tsv:1" in err
+        assert not (fixture_corpus / "pairs.tsv").exists()
+
+
+    def test_empty_precomputed_vector_exits_1(self, fixture_corpus, capsys):
+        vectors = fixture_corpus / "vectors.tsv"
+        rows = (fixture_corpus / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        sentences = sorted({side for row in rows for side in row.split("\t")})
+        vectors.write_text("".join(f"{s}\t\n" for s in sentences), encoding="utf-8")
+        config = write_config(
+            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+        )
+        assert main(["mine", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert "vectors.tsv:1: empty vector" in err
         assert not (fixture_corpus / "pairs.tsv").exists()
 
 
@@ -403,6 +513,25 @@ class TestEncodeCommand:
             "second line",
         ]
 
+    @pytest.mark.parametrize(
+        "key, name",
+        [("--input", "input.txt"), ("paths.checkpoint", "model.json"),
+         ("paths.corpus_tsv", "corpus.tsv")],
+    )
+    def test_output_over_a_named_file_exits_2(self, fixture_corpus, trained, capsys, key, name):
+        inp = fixture_corpus / "input.txt"
+        inp.write_text("target 0 variant 1\n")
+        before = (fixture_corpus / name).read_bytes()
+        out = fixture_corpus / "sub" / ".." / name
+        capsys.readouterr()
+        assert main(
+            ["encode", "--config", str(trained), "--input", str(inp), "--output", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"--output and {key} name the same file" in err
+        assert (fixture_corpus / name).read_bytes() == before
+
     def test_missing_input_exits_1(self, fixture_corpus, trained):
         assert main(
             [
@@ -464,6 +593,14 @@ def _wrong_byte_count(doc, text):
     return json.dumps(doc)
 
 
+def _nan_param(doc, text):
+    embed = doc["params"]["embed"]
+    values = _floats(embed).copy()
+    values[0] = np.nan
+    doc["params"]["embed"] = _tensor(embed["shape"], values)
+    return json.dumps(doc)
+
+
 def _not_base64(doc, text):
     doc["params"]["embed"]["data"] = "*" + doc["params"]["embed"]["data"][1:]
     return json.dumps(doc)
@@ -473,7 +610,15 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("command", ["encode", "eval"])
     @pytest.mark.parametrize(
         "corrupt",
-        [_truncate, _per_gate_lstm, _short_embed, _list_format, _wrong_byte_count, _not_base64],
+        [
+            _truncate,
+            _per_gate_lstm,
+            _short_embed,
+            _list_format,
+            _wrong_byte_count,
+            _not_base64,
+            _nan_param,
+        ],
         ids=[
             "truncated_json",
             "per_gate_lstm",
@@ -481,6 +626,7 @@ class TestBadCheckpoint:
             "list_format",
             "wrong_byte_count",
             "not_base64",
+            "nan_param",
         ],
     )
     def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt):
@@ -543,6 +689,46 @@ class TestEvalCommand:
         assert lines[1].startswith("taskA,accuracy,")
         assert lines[2].startswith("taskB,spearman,")
 
+    @pytest.mark.parametrize(
+        "kind, row, named",
+        [
+            pytest.param("classification", "\ttarget 0 variant 0", "empty class label",
+                         id="empty_label"),
+            pytest.param("regression", "nan\ttarget 0 variant 0", "non-finite score",
+                         id="nan_score"),
+            pytest.param("classification", "even\t  ", "empty sentence field",
+                         id="empty_sentence"),
+        ],
+    )
+    def test_bad_eval_row_exits_1(self, fixture_corpus, capsys, kind, row, named):
+        task = self._write_task(fixture_corpus, "taskA", kind)
+        path = fixture_corpus / "taskA.validation.tsv"
+        path.write_text(row + "\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        config = write_config(fixture_corpus, eval={"tasks": [task]})
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert f"taskA.validation.tsv:1: {named}" in err
+        assert not (fixture_corpus / "results.csv").exists()
+
+    def test_blank_lines_leave_results_unchanged(self, fixture_corpus):
+        task = self._write_task(fixture_corpus, "taskA")
+        config = write_config(fixture_corpus, eval={"tasks": [task], "lambda_grid": [1e-3]})
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["eval", "--config", str(config)]) == 0
+        results = (fixture_corpus / "results.csv").read_bytes()
+        for split in ("train", "validation", "test"):
+            path = fixture_corpus / f"taskA.{split}.tsv"
+            rows = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n" + "\n  \n\t\n".join(rows) + "\n\n", encoding="utf-8")
+        assert main(["eval", "--config", str(config)]) == 0
+        assert (fixture_corpus / "results.csv").read_bytes() == results
+
     def test_empty_split_exits_1(self, fixture_corpus, capsys):
         task = self._write_task(fixture_corpus, "taskA")
         (fixture_corpus / "taskA.test.tsv").write_text("", encoding="utf-8")
@@ -568,8 +754,18 @@ class TestEvalCommand:
             ("classification", {"train": ["even"], "validation": _EVEN, "test": _EVEN}),
             ("classification", {"train": _EVEN, "validation": _EVEN, "test": _EVEN}),
             ("regression", {"validation": ["1.0"] * 30}),  # constant validation scores
+            ("regression", {"test": ["1.0"] * 30}),
+            ("regression", {"test": ["1.0"]}),
+            ("regression", {"validation": ["1.0"]}),
         ],
-        ids=["one-train-row", "one-label", "constant-validation"],
+        ids=[
+            "one-train-row",
+            "one-label",
+            "constant-validation",
+            "constant-test",
+            "one-test-row",
+            "one-validation-row",
+        ],
     )
     def test_degenerate_task_exits_1_naming_it(self, fixture_corpus, capsys, kind, labels):
         task = self._write_task(fixture_corpus, "taskA", kind)

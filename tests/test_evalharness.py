@@ -263,3 +263,14 @@ class TestEvaluate:
                 "bad", "classification",
                 [records[0], records[2]], [records[1]], [records[0]],
             )
+
+    @pytest.mark.parametrize("scores", [[1.0], [2.0, 2.0, 2.0]], ids=["one-row", "constant"])
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_regression_split_needs_two_distinct_scores(self, split, scores):
+        def records(values):
+            return [EvalRecord(v, (f"word{i}",)) for i, v in enumerate(values)]
+
+        splits = {"validation": records([0.0, 1.0]), "test": records([0.0, 1.0])}
+        splits[split] = records(scores)
+        with pytest.raises(EvalError, match=f"task sim: {split} split needs at least 2"):
+            EvalTask("sim", "regression", records([0.0, 1.0]), **splits)

@@ -83,6 +83,12 @@ class TestPrecomputedEncoder:
         with pytest.raises(MiningError, match=r"emb\.tsv:3: .*emb\.tsv:1"):
             precomputed_encoder(p)
 
+    def test_empty_vector_names_line(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("hello\t1 2 3\nworld\t\n", encoding="utf-8")
+        with pytest.raises(MiningError, match=r"emb\.tsv:2: empty vector"):
+            precomputed_encoder(p)
+
     def test_identical_repeat_accepted(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("hello world\t1 2 3\n hello world\t1.0 2 3e0\n", encoding="utf-8")
