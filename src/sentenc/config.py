@@ -133,8 +133,9 @@ def reject_overwrite(outputs: dict[str, str], named: dict[str, str]) -> None:
     other path in `named`: writing it would destroy that file."""
     real = {key: os.path.realpath(path) for key, path in named.items()}
     for out, path in outputs.items():
+        resolved = os.path.realpath(path)
         for key, other in real.items():
-            if key != out and other == os.path.realpath(path):
+            if key != out and other == resolved:
                 raise ConfigError(f"{out} and {key} name the same file {path}")
 
 
