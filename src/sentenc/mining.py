@@ -7,6 +7,7 @@ sentence appears in at least one pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ FilterEncoder = Callable[[str], np.ndarray]
 
 # Fewest hash buckets the n-gram filter encoder accepts; also checked at config load
 MIN_FILTER_DIMENSION = 16
+
+# Aligned pairs per `filter_pairs` chunk: enough to spread one cosine call
+# over many pairs, few enough that the chunk's vectors stay well under 1 MB
+FILTER_CHUNK = 64
 
 
 @dataclass
@@ -56,13 +61,31 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
+def _char_ngrams(text: str, n: int = 3) -> list[str]:
+    """The character n-grams of normalised, boundary-padded text."""
+    padded = f"\x02{normalize(text)}\x03"
+    return [padded[i : i + n] for i in range(len(padded) - n + 1)]
+
+
+def _bucket(gram: str, dimension: int) -> int:
+    return _fnv1a(gram.encode("utf-8")) % dimension
+
+
 def char_ngram_buckets(text: str, dimension: int, n: int = 3) -> list[int]:
     """Bucket indices of the character n-grams of boundary-padded text."""
-    padded = f"\x02{normalize(text)}\x03"
-    return [
-        _fnv1a(padded[i : i + n].encode("utf-8")) % dimension
-        for i in range(len(padded) - n + 1)
-    ]
+    return [_bucket(gram, dimension) for gram in _char_ngrams(text, n)]
+
+
+class _BucketMemo(dict):
+    """gram -> bucket for one encoder; each distinct gram is hashed once."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, gram: str) -> int:
+        bucket = self[gram] = _bucket(gram, self.dimension)
+        return bucket
 
 
 def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
@@ -71,12 +94,16 @@ def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
 
     A desk-scale stand-in for a pretrained multilingual filter model: cheap,
     deterministic, and similarity-preserving for surface-close sentences.
+    The encoder keeps the bucket of every distinct 3-gram it has seen (a few
+    thousand on a corpus of one script), so the pure-Python FNV-1a hash runs
+    once per distinct gram rather than once per occurrence.
     """
     if dimension < MIN_FILTER_DIMENSION:
         raise MiningError(f"hashed n-gram encoder needs dimension >= {MIN_FILTER_DIMENSION}")
+    memo = _BucketMemo(dimension)
 
     def encode(text: str) -> np.ndarray:
-        buckets = char_ngram_buckets(text, dimension)
+        buckets = [memo[gram] for gram in _char_ngrams(text)]
         if not buckets:
             raise MiningError(f"cannot encode empty text {text!r}")
         return np.bincount(buckets, minlength=dimension).astype(np.float64)
@@ -122,23 +149,43 @@ def filter_pairs(
     threshold: float,
     stats: MiningStats | None = None,
 ) -> Iterator[AlignedPair]:
-    """Keep pairs whose cross-lingual embedding cosine is >= threshold.
+    """Keep pairs whose cross-lingual embedding cosine is >= threshold, in
+    input order.
 
-    Encoder failures on noisy lines (MiningError, or NumericError for a
-    zero or mismatched vector) are skipped and tallied, not fatal; any other
-    exception is a bug and propagates.
+    Pairs are taken FILTER_CHUNK at a time: both sides of each are encoded,
+    then one `cosine_similarity` call over the chunk's two row blocks scores
+    them all, so every vector must have the one width FilterEncoder promises.
+    Encoder failures on noisy lines (MiningError or NumericError from the
+    encoder, a vector whose shape is not its partner's, or an all-zero
+    vector) are skipped and tallied per pair, not fatal; any other exception
+    is a bug and propagates.
     """
     stats = MiningStats() if stats is None else stats
-    for pair in pairs:
-        stats.input_pairs += 1
-        try:
-            sim = cosine_similarity(enc(pair.source), enc(pair.target))
-        except (MiningError, NumericError):
-            stats.encoder_failures += 1
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, FILTER_CHUNK)):
+        stats.input_pairs += len(chunk)
+        encoded = []
+        for pair in chunk:
+            try:
+                x, y = enc(pair.source), enc(pair.target)
+            except (MiningError, NumericError):
+                stats.encoder_failures += 1
+                continue
+            if np.ndim(x) == 1 and np.shape(x) == np.shape(y):
+                encoded.append((pair, x, y))
+            else:
+                stats.encoder_failures += 1
+        if not encoded:
             continue
-        if sim >= threshold:
-            stats.kept_pairs += 1
-            yield pair
+        kept, xs, ys = zip(*encoded)
+        xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+        nonzero = xs.any(axis=1) & ys.any(axis=1)
+        stats.encoder_failures += len(kept) - int(nonzero.sum())
+        sims = cosine_similarity(xs[nonzero], ys[nonzero])
+        for pair, sim in zip(itertools.compress(kept, nonzero), sims):
+            if sim >= threshold:
+                stats.kept_pairs += 1
+                yield pair
 
 
 def group_by_source(pairs: Iterable[AlignedPair]) -> list[list[str]]:

@@ -40,17 +40,25 @@ def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], scale * norms
 
 
-def cosine_similarity(x, y) -> float:
-    """Cosine of the angle between two vectors, clipped to [-1, 1].
+def cosine_similarity(x, y) -> float | np.ndarray:
+    """Cosine of the angle between two vectors, clipped to [-1, 1]; for two
+    equal-shape 2-d blocks, an array of one cosine per pair of rows.
 
-    Raises NumericError on dimension mismatch or a zero-norm input; a zero
-    embedding signals an upstream bug and must not be silently absorbed.
+    A vector is the 1-row case of the same body, so row i of a block gives
+    the same bits as the cosine of row i alone. Raises NumericError on a
+    shape mismatch or a zero-norm row; a zero embedding signals an upstream
+    bug and must not be silently absorbed.
     """
-    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
-        raise NumericError(f"need two equal 1-d shapes, got {np.shape(x)} and {np.shape(y)}")
-    u, _ = unit_rows(np.array([x, y], dtype=np.float64))
-    cos = float(u[0] @ u[1])
-    return math.copysign(1.0, cos) if abs(cos) > 1.0 else cos
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape != y.shape:
+        raise NumericError(f"need two equal 1-d or 2-d shapes, got {x.shape} and {y.shape}")
+    u, _ = unit_rows(np.concatenate([np.atleast_2d(x), np.atleast_2d(y)]))
+    n = len(u) // 2
+    # one dot product per row, as `u[i] @ v[i]` computes it; einsum and
+    # `(u * v).sum(1)` add in another order and change the last bits
+    cos = np.clip(np.matmul(u[:n, None, :], u[n:, :, None])[:, 0, 0], -1.0, 1.0)
+    return float(cos[0]) if x.ndim == 1 else cos
 
 
 def logsumexp(v):

@@ -1,12 +1,19 @@
+import importlib.util
+import itertools
+import json
 import math
+import random
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentenc.corpus import AlignedPair, ParaphrasePair
+from sentenc.corpus import AlignedPair, ParaphrasePair, read_parallel_tsv
 from sentenc.mining import (
+    FILTER_CHUNK,
     MiningConfig,
     MiningError,
     MiningStats,
@@ -18,7 +25,11 @@ from sentenc.mining import (
     mine,
     precomputed_encoder,
 )
-from sentenc.numeric import SeededRng, cosine_similarity
+from sentenc.numeric import NumericError, SeededRng, cosine_similarity
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+MIXED_SCRIPTS = ["some plain text", "zażółć gęślą jaźń", "猫が寝た 猫が", "🐈 tail 🐈‍⬛ 𝔘𝔫𝔦"]
 
 
 class TestHashedNgramEncoder:
@@ -49,6 +60,21 @@ class TestHashedNgramEncoder:
         vec = hashed_ngram_encoder(128)(text)
         assert vec.dtype == np.float64
         assert np.array_equal(vec, np.bincount(char_ngram_buckets(text, 128), minlength=128))
+
+    def test_one_encoder_over_many_orders_matches_reference(self):
+        # one instance, so its 3-gram memo carries over between texts and orders
+        enc = hashed_ngram_encoder(128)
+        for order in itertools.permutations(MIXED_SCRIPTS):
+            for text in order + order[::-1]:
+                vec = enc(text)
+                assert vec.dtype == np.float64
+                assert np.array_equal(vec, np.bincount(char_ngram_buckets(text, 128), minlength=128))
+
+    def test_encoders_of_different_dimension_share_no_buckets(self):
+        small, large = hashed_ngram_encoder(16), hashed_ngram_encoder(131)
+        for text in MIXED_SCRIPTS * 2:
+            for dim, enc in ((16, small), (131, large)):
+                assert np.array_equal(enc(text), np.bincount(char_ngram_buckets(text, dim), minlength=dim))
 
     @pytest.mark.parametrize("text", ["", "  \t "])
     def test_empty_text_is_error(self, text):
@@ -146,6 +172,104 @@ class TestFilterPairs:
         with pytest.raises(KeyError):
             list(filter_pairs([AlignedPair("a", "b")], buggy, 0.0, stats))
         assert stats.encoder_failures == 0
+
+
+def reference_filter(pairs, enc, threshold, stats):
+    """filter_pairs' former loop: one encoder call per side, one cosine per
+    pair (the 1-d cosine, which TestCosineRowBlocks holds to its former body)."""
+    for pair in pairs:
+        stats.input_pairs += 1
+        try:
+            sim = cosine_similarity(enc(pair.source), enc(pair.target))
+        except (MiningError, NumericError):
+            stats.encoder_failures += 1
+            continue
+        if sim >= threshold:
+            stats.kept_pairs += 1
+            yield pair
+
+
+def assert_filters_alike(pairs, enc, threshold):
+    stats, expected_stats = MiningStats(), MiningStats()
+    kept = list(filter_pairs(pairs, enc, threshold, stats))
+    assert kept == list(reference_filter(pairs, enc, threshold, expected_stats))
+    assert stats == expected_stats
+    return kept, stats
+
+
+def planted_corpus(n: int, seed: int):
+    """n seeded pairs with a failing pair at both ends, in the middle and on
+    each side of every chunk boundary, each next to identical-sides pairs
+    that any threshold keeps. Blank, missing and zero sides take turns."""
+    rng = random.Random(seed)
+    words = "ala ma kota pies dom las rzeka most droga okno".split()
+
+    def sentence():
+        return " ".join(rng.sample(words, rng.randint(2, 5)))
+
+    pairs = [AlignedPair(sentence(), sentence()) for _ in range(n)]
+    bad = sorted({b for b in (0, n // 2, FILTER_CHUNK - 1, FILTER_CHUNK, 2 * FILTER_CHUNK, n - 1) if b < n})
+    kinds = itertools.cycle([("  \t ", "ok side"), ("missing side", "ok side"), ("zero side", "ok side"),
+                             ("ok side", ""), ("ok side", "missing side"), ("ok side", "zero side")])
+    for i in bad:
+        pairs[i] = AlignedPair(*next(kinds))
+    neighbours = sorted({j for i in bad for j in (i - 1, i + 1) if 0 <= j < n} - set(bad))
+    for j in neighbours:
+        pairs[j] = AlignedPair(f"same {j} words", f"same {j} words")
+    return pairs, bad, neighbours
+
+
+class TestChunkedFilter:
+    """filter_pairs against its former per-pair loop, kept above as the reference."""
+
+    SIZES = [FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1, 2 * FILTER_CHUNK + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hashed_matches_reference(self, n, seed):
+        pairs, bad, neighbours = planted_corpus(n, seed)
+        kept, stats = assert_filters_alike(pairs, hashed_ngram_encoder(64), 0.3)
+        # of the planted pairs, only the blank sides fail the n-gram encoder
+        blanks = [i for i in bad if not pairs[i].source.strip() or not pairs[i].target.strip()]
+        assert stats.encoder_failures == len(blanks) > 0
+        assert all(pairs[j] in kept for j in neighbours)
+        assert 0 < stats.kept_pairs < n - len(blanks)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_precomputed_matches_reference(self, n, tmp_path):
+        # "missing side" is absent from the file and "zero side" is all zeros
+        pairs, bad, neighbours = planted_corpus(n, seed=n)
+        hashed = hashed_ngram_encoder(32)
+        texts = {t for p in pairs for t in (p.source, p.target) if t.strip() and t != "missing side"}
+        lines = [f"{t}\t{' '.join('0' if t == 'zero side' else str(int(v)) for v in hashed(t))}"
+                 for t in sorted(texts)]
+        path = tmp_path / "vectors.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        kept, stats = assert_filters_alike(pairs, precomputed_encoder(path), 0.3)
+        assert stats.encoder_failures == len(bad) > 0
+        assert all(pairs[j] in kept for j in neighbours)
+
+    @pytest.mark.parametrize("name", ["desk", "mine-wide", "encode-ragged"])
+    def test_benchmark_corpora_match_reference(self, name, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workloads.generate(name, 7, str(tmp_path), scale=0.2)
+        config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        pairs = list(read_parallel_tsv(tmp_path / "corpus.tsv"))
+        enc = hashed_ngram_encoder(config["filter_encoder"]["dimension"])
+        kept, stats = assert_filters_alike(pairs, enc, config["mining"]["threshold"])
+        assert len(pairs) > 2 * FILTER_CHUNK and kept
+
+    def test_mixed_widths_across_pairs_are_a_bug(self):
+        # a FilterEncoder gives one width for every text
+        def enc(text):
+            return np.ones(len(text))
+
+        with pytest.raises(ValueError):
+            list(filter_pairs([AlignedPair("ab", "cd"), AlignedPair("abc", "def")], enc, 0.0))
 
 
 class TestGroupBySource:

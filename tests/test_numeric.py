@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sentenc.numeric import NumericError, SeededRng, cosine_similarity, logsumexp, unit_rows
 
@@ -68,6 +68,62 @@ class TestCosineSimilarity:
         if np.linalg.norm(x) == 0 or np.linalg.norm(y) == 0:
             return
         assert abs(cosine_similarity(x, y)) <= 1.0 + 1e-12
+
+
+def reference_cosine(x, y) -> float:
+    """cosine_similarity's former one-pair body: `u[0] @ u[1]` of the unit rows."""
+    u, _ = unit_rows(np.array([x, y], dtype=np.float64))
+    cos = float(u[0] @ u[1])
+    return math.copysign(1.0, cos) if abs(cos) > 1.0 else cos
+
+
+# row scales that send a row of finite_floats down unit_rows' scaled path:
+# a subnormal square norm, an underflowing one, an overflowing one
+ROW_SCALES = [1.0, 1.0, 1e-160, 1e-310, 1e200]
+
+
+@st.composite
+def row_blocks(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    block = st.lists(st.lists(finite_floats, min_size=d, max_size=d), min_size=n, max_size=n)
+    scales = st.lists(st.sampled_from(ROW_SCALES), min_size=n, max_size=n)
+    x, y = draw(block), draw(block)
+    with np.errstate(under="ignore"):
+        x = np.array(x) * np.array(draw(scales))[:, None]
+        y = np.array(y) * np.array(draw(scales))[:, None]
+    assume(x.any(axis=1).all() and y.any(axis=1).all())
+    return x, y
+
+
+class TestCosineRowBlocks:
+    @given(row_blocks())
+    @example(blocks=(np.array([[3e-160, 4e-160], [1.0, 2.0]]), np.array([[1.0, 1.0], [3e200, -4e200]])))
+    def test_rows_bit_equal_one_pair_calls(self, blocks):
+        x, y = blocks
+        with np.errstate(over="ignore"):
+            cos = cosine_similarity(x, y)
+            for i in range(len(x)):
+                one = cosine_similarity(x[i], y[i])
+                assert isinstance(one, float)
+                assert np.array_equal(cos[i], one)
+                assert np.array_equal(one, reference_cosine(x[i], y[i]))
+        assert cos.shape == (len(x),)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[1.0, 2.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [0.0, -0.0]]),
+            ([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]),
+            ([[1.0, 2.0]], [[1.0, 2.0, 3.0]]),
+            ([[1.0, 2.0]], [1.0, 2.0]),
+            ([[[1.0, 2.0]]], [[[1.0, 2.0]]]),
+            (1.0, 1.0),
+        ],
+    )
+    def test_zero_row_or_shape_mismatch_is_error(self, x, y):
+        with pytest.raises(NumericError):
+            cosine_similarity(np.array(x), np.array(y))
 
 
 # rows of 1-8 finite entries whose square norm is a normal float
