@@ -7,7 +7,11 @@ the four CLI subcommands exactly as an operator would.
 
 import argparse
 import json
+import sys
 from pathlib import Path
+
+# run from a checkout without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sentenc.cli import main as cli_main
 from sentenc.numeric import SeededRng

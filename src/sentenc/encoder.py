@@ -1,8 +1,12 @@
 """Trainable sentence encoder: tokenizer, embeddings, self-attention blocks,
 and four pooling strategies (cls / mean / max / LSTM last hidden state).
 
-Layers work on padded batches `(B, T, d)` with a `(B, T)` mask of real tokens;
-padding never reaches an embedding and gets exact zero gradients. Backward
+`encode` sorts sentences by length and cuts them into packs of PACK_SIZE.
+Within a pack the token layers (embedding, attention blocks, cls/mean/max
+pooling) run on padded chunks `(B, T, d)` of CHUNK_SIZE sentences with a
+`(B, T)` mask of real tokens; padding never reaches an embedding and gets
+exact zero gradients. lstm pooling runs once per pack, packed: one time
+loop over the pack's sentences, longest first, with no padding. Backward
 passes are analytic and checked against central finite differences in the
 test suite. Under lstm pooling the output has `lstm_hidden` dimensions,
 otherwise `embed_dim`.
@@ -36,9 +40,17 @@ LAYER_NORM_EPS = 1e-5
 # Version of the save_model document; load_model reads only this one.
 CHECKPOINT_FORMAT = 2
 
-# Sentences per padded batch: larger chunks pad more and hold more
-# activations at once, smaller ones take more Python steps per sentence.
+# Sentences per padded batch of the token layers: larger chunks pad more and
+# hold more activations at once, smaller ones take more Python steps per
+# sentence.
 CHUNK_SIZE = 8
+
+# Sentences per pack, the unit the LSTM runs one time loop over. A multiple
+# of CHUNK_SIZE, so packs cut the same chunks as one long sorted list would.
+# It bounds the pack's token copies and per-step (rows, 4 * lstm_hidden)
+# temporaries: encoding 1,000 ten-token sentences peaks at 5.9 MB in packs
+# of 128 and at 32 MB as one pack.
+PACK_SIZE = 128
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -91,12 +103,12 @@ def embed_tokens(ids, embedding: np.ndarray) -> np.ndarray:
     return embedding[ids]
 
 
-def _length_chunks(ids: list[list[int]]) -> list[list[int]]:
-    """Indices of the token id rows `ids`, stably sorted by row length (the
-    padded length), cut into chunks of at most CHUNK_SIZE, so each padded
-    batch holds sentences of similar length."""
+def _length_packs(ids: list[list[int]]) -> list[list[int]]:
+    """Indices of the token id rows `ids`, stably sorted by row length and
+    cut into packs of at most PACK_SIZE. _forward cuts each pack into chunks
+    of CHUNK_SIZE, so each padded batch holds sentences of similar length."""
     order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-    return [order[i : i + CHUNK_SIZE] for i in range(0, len(order), CHUNK_SIZE)]
+    return [order[i : i + PACK_SIZE] for i in range(0, len(order), PACK_SIZE)]
 
 
 @dataclass
@@ -293,72 +305,122 @@ def attention_block_backward(
     return dx.reshape(bsz, n, d)
 
 
-def lstm_forward(y: np.ndarray, params: dict[str, np.ndarray]):
-    """Unidirectional LSTM over a padded batch y (B, T, d); h_0 = c_0 = 0.
-    Steps past a sentence's length cannot reach its state at step len-1, so
-    no mask is needed. Returns (hidden_states, cell_states, cache), (B, T, h)."""
+def _pack(lengths: np.ndarray):
+    """Layout of a ragged batch run packed. Its rows are the sentences sorted
+    longest first (`order`), plus an absent second row for a lone sentence.
+    Step t works on rows [0, steps[t]): the sentences still running, but
+    never fewer than 2 rows, since a 1-row product takes another BLAS path.
+    Sorted rows [ends[t+1], ends[t]) end at step t. `gather` picks each
+    step's inputs, time-major, from the sentences' concatenated token rows;
+    index sum(lengths) marks a row past its end, which is fed zeros."""
+    order = np.argsort(-lengths, kind="stable")
+    rows = max(len(lengths), 2)
+    row_len = np.zeros(rows, dtype=np.intp)
+    row_start = np.zeros(rows, dtype=np.intp)
+    row_len[: len(lengths)] = lengths[order]
+    row_start[: len(lengths)] = (np.cumsum(lengths) - lengths)[order]
+    t = np.arange(row_len[0])[:, None]
+    ends = np.append((row_len > t).sum(axis=1), 0)
+    steps = np.maximum(ends[:-1], 2)
+    picks = np.where(t < row_len, row_start + t, lengths.sum())
+    gather = picks[np.arange(rows) < steps[:, None]]
+    return order, steps, ends, gather
+
+
+def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bool = False):
+    """Unidirectional LSTM, h_0 = c_0 = 0, over a ragged batch: y
+    (sum(lengths), d) holds each sentence's token vectors in turn. The batch
+    runs packed (see _pack), so no step touches padding. Returns each
+    sentence's hidden state at its own last step, (n, h), and the cache for
+    lstm_backward if `keep`, else None: then only the running h and c live
+    across steps."""
     w, b = params["lstm.w"], params["lstm.b"]
-    bsz, n, d = y.shape
+    d = y.shape[1]
     h_dim = w.shape[0] // 4
-    wh = w[:, d:].T
-    # gate pre-activations, then activations in place: i, f, o, g row blocks
-    gates = y.reshape(-1, d) @ w[:, :d].T
-    gates += b
-    gates = gates.reshape(bsz, n, 4 * h_dim)
-    hs = np.zeros((bsz, n, h_dim))
-    cs = np.zeros((bsz, n, h_dim))
-    h = c = np.zeros((bsz, h_dim))
-    for t in range(n):
-        a = gates[:, t]
-        a += h @ wh
+    order, steps, ends, gather = _pack(np.asarray(lengths))
+    wx = np.ascontiguousarray(w[:, :d].T)
+    wh = np.ascontiguousarray(w[:, d:].T)
+    x = np.take(y, gather, axis=0, mode="clip")
+    x[gather == len(y)] = 0.0
+    # each step makes its own gates, so without `keep` the pack never holds
+    # all of them at once
+    gates = np.empty((len(x), 4 * h_dim)) if keep else None
+    h_in = np.empty((len(x), h_dim)) if keep else None  # h entering each step
+    cs = np.empty((len(x), h_dim)) if keep else None
+    last = np.empty((len(order), h_dim))
+    h = c = np.zeros((steps[0], h_dim))
+    lo = 0
+    for t, m in enumerate(steps):
+        # gate pre-activations, then activations in place: i, f, o, g row blocks
+        a = np.matmul(x[lo : lo + m], wx, out=gates[lo : lo + m] if keep else None)
+        a += b
+        if keep:
+            h_in[lo : lo + m] = h[:m]
+        a += h[:m] @ wh
         a[:, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-a[:, : 3 * h_dim]))  # sigmoid
         a[:, 3 * h_dim :] = np.tanh(a[:, 3 * h_dim :])
         i, f, o, g = np.split(a, 4, axis=1)
-        c = f * c + i * g
+        c = f * c[:m] + i * g
         h = o * np.tanh(c)
-        hs[:, t], cs[:, t] = h, c
-    return hs, cs, (y, hs, cs, gates)
+        if keep:
+            cs[lo : lo + m] = c
+        last[ends[t + 1] : ends[t]] = h[ends[t + 1] : ends[t]]
+        lo += m
+    out = np.empty_like(last)
+    out[order] = last
+    return out, ([x, order, steps, ends, gather, gates, h_in, cs] if keep else None)
 
 
-def lstm_backward(dh_last: np.ndarray, lengths: np.ndarray, cache, params, grads):
-    """Backprop through time. Sentence b's upstream gradient enters at its
-    step lengths[b]-1, so its padded steps get exact zero gradients."""
-    y, hs, cs, gates = cache
+def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
+    """Backprop through time of the packed LSTM. Sentence b's upstream
+    gradient enters at its own last step, so steps past a sentence's end get
+    exact zero gradients. It uses up the cache: each step's gate gradients
+    overwrite its gates, which no earlier step reads, and the cache is
+    emptied so its arrays go when this returns. Returns the gradient of y,
+    in y's layout."""
+    x, order, steps, ends, gather, gates, h_in, cs = cache
+    cache.clear()
     w = params["lstm.w"]
-    bsz, n, d = y.shape
-    h_dim = hs.shape[2]
-    wh = w[:, d:]
-    da = np.empty_like(gates)
-    dh = np.zeros((bsz, h_dim))
-    dc = np.zeros((bsz, h_dim))
-    for t in range(n - 1, -1, -1):
-        ends = lengths - 1 == t
-        dh[ends] += dh_last[ends]
-        i, f, o, g = np.split(gates[:, t], 4, axis=1)
-        tanh_c = np.tanh(cs[:, t])
-        c_prev = cs[:, t - 1] if t else 0.0
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        da_t = da[:, t]
-        da_t[:, :h_dim] = dc * g * i * (1.0 - i)
-        da_t[:, h_dim : 2 * h_dim] = dc * c_prev * f * (1.0 - f)
-        da_t[:, 2 * h_dim : 3 * h_dim] = dh * tanh_c * o * (1.0 - o)
-        da_t[:, 3 * h_dim :] = dc * i * (1.0 - g**2)
-        dc = dc * f
-        dh = da_t @ wh
-    h_prev = np.concatenate([np.zeros((bsz, 1, h_dim)), hs[:, :-1]], axis=1)
-    da = da.reshape(-1, 4 * h_dim)
-    grads["lstm.w"][:, :d] += da.T @ y.reshape(-1, d)
-    grads["lstm.w"][:, d:] += da.T @ h_prev.reshape(-1, h_dim)
+    d = x.shape[1]
+    h_dim = cs.shape[1]
+    wh = np.ascontiguousarray(w[:, d:])
+    offsets = np.cumsum(steps) - steps
+    dh_rows = dh_last[order]
+    dh = np.zeros((steps[0], h_dim))
+    dc = np.zeros((steps[0], h_dim))
+    for t in range(len(steps) - 1, -1, -1):
+        m, lo = steps[t], offsets[t]
+        dh[ends[t + 1] : ends[t]] += dh_rows[ends[t + 1] : ends[t]]
+        da_t = gates[lo : lo + m]
+        i, f, o, g = np.split(da_t, 4, axis=1)
+        tanh_c = np.tanh(cs[lo : lo + m])
+        c_prev = cs[offsets[t - 1] : offsets[t - 1] + m] if t else 0.0
+        dc_t = dc[:m] + dh[:m] * o * (1.0 - tanh_c**2)
+        di = dc_t * g * i * (1.0 - i)
+        g[...] = dc_t * i * (1.0 - g**2)
+        i[...] = di
+        o[...] = dh[:m] * tanh_c * o * (1.0 - o)
+        dc[:m] = dc_t * f
+        f[...] = dc_t * c_prev * f * (1.0 - f)
+        dh[:m] = da_t @ wh
+    da = gates
+    grads["lstm.w"][:, :d] += da.T @ x
+    grads["lstm.w"][:, d:] += da.T @ h_in
     grads["lstm.b"] += da.sum(axis=0)
-    return (da @ w[:, :d]).reshape(bsz, n, d)
+    # ends[t] sentences run at step t, so ends sums to the token count; the
+    # gradient of the zeros fed to rows past their end lands in a dropped row
+    dy = np.zeros((ends.sum() + 1, d))
+    dy[gather] = da @ w[:, :d]
+    return dy[:-1]
 
 
 # ---------------------------------------------------------------------------
 # full encoder
 
-def pool(y: np.ndarray, mask: np.ndarray, strategy: str, params: dict | None = None):
+def pool(y: np.ndarray, mask: np.ndarray, strategy: str):
     """Reduce a padded batch of token vectors (B, T, d) to one vector per
-    sentence, looking only at real tokens. Returns (vectors, cache)."""
+    sentence by cls, mean or max pooling, looking only at real tokens.
+    Returns (vectors, cache). lstm pooling runs over a whole pack in _forward."""
     if strategy == "cls":
         return y[:, 0].copy(), None
     if strategy == "mean":
@@ -367,74 +429,106 @@ def pool(y: np.ndarray, mask: np.ndarray, strategy: str, params: dict | None = N
         # ties resolve to the first index
         argmax = np.where(mask[..., None], y, -np.inf).argmax(axis=1)
         return np.take_along_axis(y, argmax[:, None, :], axis=1)[:, 0], argmax
-    if strategy == "lstm":
-        hs, _, lstm_cache = lstm_forward(y, params)
-        last = mask.sum(axis=1) - 1
-        return hs[np.arange(y.shape[0]), last], lstm_cache
-    raise EncoderError(f"unknown pooling strategy {strategy!r}")
+    raise EncoderError(f"pool takes cls, mean or max, not {strategy!r}")
 
 
-def _forward(ids: list[list[int]], model: EncoderModel):
-    """Encode one padded batch of tokenize rows: embed -> attention blocks ->
-    pool. Returns ((B, output_dim) embeddings, cache for _backward)."""
-    cfg = model.config
-    lengths = np.array([len(row) for row in ids])
+def _token_layers(rows: list[list[int]], model: EncoderModel, keep: bool):
+    """Embedding and attention blocks over one padded chunk of tokenize rows.
+    Returns (padded ids, mask, token vectors (B, T, d), the block caches if
+    `keep`, else [])."""
+    lengths = np.array([len(row) for row in rows])
     mask = np.arange(lengths.max()) < lengths[:, None]
     padded = np.full(mask.shape, PAD_ID)
-    padded[mask] = np.concatenate(ids)
+    padded[mask] = np.concatenate(rows)
     x = embed_tokens(padded, model.params["embed"])
     block_caches = []
-    for b in range(cfg.num_blocks):
+    for b in range(model.config.num_blocks):
         x, cache = attention_block_forward(x, mask, model.params, f"block{b}")
-        block_caches.append(cache)
-    emb, pool_cache = pool(x, mask, cfg.pooling, model.params)
-    return emb, (padded, mask, block_caches, x, pool_cache)
+        if keep:
+            block_caches.append(cache)
+    return padded, mask, x, block_caches
+
+
+def _forward(ids: list[list[int]], model: EncoderModel, keep: bool = True):
+    """Encode one pack of tokenize rows: embedding and attention blocks per
+    padded chunk of CHUNK_SIZE rows in the given order, then pooling, per
+    chunk for cls/mean/max and one packed LSTM over the pack for lstm.
+    Returns ((n, output_dim) embeddings, cache for _backward if `keep`,
+    else None)."""
+    cfg = model.config
+    emb = np.empty((len(ids), cfg.output_dim))
+    chunks = []
+    if cfg.pooling == "lstm":  # the pack's token vectors, sentence by sentence
+        lengths = np.array([len(row) for row in ids])
+        tokens, tok = np.empty((lengths.sum(), cfg.embed_dim)), 0
+    for lo in range(0, len(ids), CHUNK_SIZE):
+        padded, mask, x, block_caches = _token_layers(ids[lo : lo + CHUNK_SIZE], model, keep)
+        pool_cache = None
+        if cfg.pooling == "lstm":
+            count = int(mask.sum())
+            tokens[tok : tok + count] = x[mask]
+            tok += count
+        else:
+            emb[lo : lo + len(mask)], pool_cache = pool(x, mask, cfg.pooling)
+        if keep:
+            chunks.append((padded, mask, block_caches, pool_cache))
+    lstm_cache = None
+    if cfg.pooling == "lstm":
+        emb, lstm_cache = lstm_forward(tokens, lengths, model.params, keep)
+    return emb, ((chunks, lstm_cache) if keep else None)
 
 
 def encode(texts: list[str], model: EncoderModel, tape: list | None = None) -> np.ndarray:
-    """Sentence embeddings (n, output_dim) in input order, computed in
-    length-sorted padded chunks so only one chunk's activations are alive.
-    When `tape` is a list, each chunk's (positions, cache) is appended to it
-    for _backward, which keeps every chunk's activations alive instead."""
+    """Sentence embeddings (n, output_dim) in input order, computed in packs
+    of length-sorted sentences, so only one pack's activations are alive.
+    When `tape` is a list, each pack's (positions, cache) is appended to it
+    for _backward, which keeps every pack's activations alive instead."""
     if isinstance(texts, str):
         raise EncoderError("encode takes a list of texts, not a single str")
     cfg = model.config
     ids = [tokenize(text, model.vocab, cfg.max_len) for text in texts]
     out = np.empty((len(texts), cfg.output_dim))
-    for idx in _length_chunks(ids):
-        out[idx], cache = _forward([ids[i] for i in idx], model)
+    for positions in _length_packs(ids):
+        out[positions], cache = _forward([ids[i] for i in positions], model, tape is not None)
         if tape is not None:
-            tape.append((idx, cache))
-        del cache  # else it stays alive through the next chunk's forward
+            tape.append((positions, cache))
     return out
 
 
 def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
     """Accumulate into `grads` the gradients of sum_b <demb_b, embedding_b>
-    for the batch that produced `cache`."""
+    for the pack that produced `cache`. It uses up the cache, dropping each
+    chunk's activations once its gradients are in."""
     cfg = model.config
-    padded, mask, block_caches, y, pool_cache = cache
+    chunks, lstm_cache = cache
+    n = sum(len(mask) for _, mask, _, _ in chunks)
     demb = np.asarray(demb, dtype=np.float64)
-    if demb.shape != (y.shape[0], cfg.output_dim):
-        raise EncoderError(
-            f"upstream gradient shape {demb.shape} != ({y.shape[0]}, {cfg.output_dim})"
-        )
-    lengths = mask.sum(axis=1)
-    if cfg.pooling == "cls":
-        dy = np.zeros_like(y)
-        dy[:, 0] = demb
-    elif cfg.pooling == "mean":
-        dy = mask[..., None] * (demb / lengths[:, None])[:, None, :]
-    elif cfg.pooling == "max":
-        dy = np.zeros_like(y)
-        np.put_along_axis(dy, pool_cache[:, None, :], demb[:, None, :], axis=1)
-    else:  # lstm
-        dy = lstm_backward(demb, lengths, pool_cache, model.params, grads)
-    for b in range(cfg.num_blocks - 1, -1, -1):
-        dy = attention_block_backward(
-            dy, block_caches[b], model.params, grads, f"block{b}"
-        )
-    np.add.at(grads["embed"], padded[mask], dy[mask])
+    if demb.shape != (n, cfg.output_dim):
+        raise EncoderError(f"upstream gradient shape {demb.shape} != ({n}, {cfg.output_dim})")
+    if cfg.pooling == "lstm":
+        dtokens = lstm_backward(demb, lstm_cache, model.params, grads)
+    lo = tok = 0
+    while chunks:
+        padded, mask, block_caches, pool_cache = chunks.pop(0)
+        drows = demb[lo : lo + len(mask)]
+        lo += len(mask)
+        if cfg.pooling == "mean":
+            dy = mask[..., None] * (drows / mask.sum(axis=1)[:, None])[:, None, :]
+        else:
+            dy = np.zeros(mask.shape + (cfg.embed_dim,))
+        if cfg.pooling == "cls":
+            dy[:, 0] = drows
+        elif cfg.pooling == "max":
+            np.put_along_axis(dy, pool_cache[:, None, :], drows[:, None, :], axis=1)
+        elif cfg.pooling == "lstm":  # this chunk's slice of the pack's gradient
+            count = int(mask.sum())
+            dy[mask] = dtokens[tok : tok + count]
+            tok += count
+        for b in range(cfg.num_blocks - 1, -1, -1):
+            dy = attention_block_backward(
+                dy, block_caches[b], model.params, grads, f"block{b}"
+            )
+        np.add.at(grads["embed"], padded[mask], dy[mask])
 
 
 # ---------------------------------------------------------------------------

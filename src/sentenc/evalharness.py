@@ -72,11 +72,13 @@ class EvalResult:
 
 def featurize(records: list[EvalRecord], model: EncoderModel) -> np.ndarray:
     """One feature row per record: the embedding for single-sentence records,
-    [u; v; |u - v|; u * v] for pairs."""
-    u = encode([r.sentences[0] for r in records], model)
+    [u; v; |u - v|; u * v] for pairs. Both sides of the pairs go through one
+    encode call, so its packs hold twice the sentences."""
+    first = [r.sentences[0] for r in records]
     if all(len(r.sentences) == 1 for r in records):
-        return u
-    v = encode([r.sentences[1] for r in records], model)
+        return encode(first, model)
+    both = encode(first + [r.sentences[1] for r in records], model)
+    u, v = both[: len(records)], both[len(records) :]
     return np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
 
 

@@ -211,7 +211,7 @@ def batch_loss_and_grads(
     demb = np.concatenate([da, db])
 
     grads = model.params.zeros_like()
-    while tape:  # drop each chunk's activations once its gradients are in
+    while tape:  # drop each pack's activations once its gradients are in
         idx, cache = tape.pop(0)
         _backward(demb[idx], cache, model, grads)
     return loss, grads

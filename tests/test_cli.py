@@ -3,6 +3,9 @@ import errno
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,9 +333,11 @@ class TestMineCommand:
         assert not (fixture_corpus / "pairs.tsv").exists()
 
 
+SYNTHETIC_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
+
+
 def _synthetic_pipeline():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
-    spec = importlib.util.spec_from_file_location("run_synthetic_pipeline", path)
+    spec = importlib.util.spec_from_file_location("run_synthetic_pipeline", SYNTHETIC_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -353,6 +358,17 @@ class TestSyntheticPipelineMiningBytes:
         config = _synthetic_pipeline().build_workdir(tmp_path, seed)
         assert main(["mine", "--config", str(config)]) == 0
         assert hashlib.sha256((tmp_path / "pairs.tsv").read_bytes()).hexdigest() == digest
+
+
+def test_synthetic_pipeline_script_runs_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SYNTHETIC_SCRIPT), "--workdir", str(tmp_path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("pairs.tsv", "model.json", "loss.csv", "embeddings.tsv", "results.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 class TestTrainCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sentenc.encoder import (
     CHUNK_SIZE,
     CLS_ID,
+    PACK_SIZE,
     EncoderConfig,
     EncoderError,
     LAYER_NORM_EPS,
@@ -16,6 +18,7 @@ from sentenc.encoder import (
     _glorot,
     attention_block_forward,
     build_vocabulary,
+    embed_tokens,
     encode,
     init_model,
     layer_norm_forward,
@@ -137,14 +140,14 @@ class TestLstm:
             if name.startswith("lstm."):
                 model.params[name][:] = 0.0
         y = SeededRng(2).uniform(-1, 1, (1, 5, 8))
-        hs, cs, _ = lstm_forward(y, model.params)
+        hs, (*_, cs) = lstm_forward(y[0], [5], model.params, keep=True)
         assert np.all(hs == 0.0)
         assert np.all(cs == 0.0)
 
     def test_single_step_against_hand_rolled_equations(self):
         model = tiny_model(pooling="lstm")
         y = SeededRng(4).uniform(-1, 1, (1, 1, 8))
-        hs, cs, _ = lstm_forward(y, model.params)
+        hs, (*_, cs) = lstm_forward(y[0], [1], model.params, keep=True)
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
@@ -159,14 +162,14 @@ class TestLstm:
         g = np.tanh(wg @ z + bg)
         c = i * g  # c_0 = 0 so the forget term vanishes
         h = o * np.tanh(c)
-        assert np.allclose(hs[0, 0], h, atol=1e-12)
-        assert np.allclose(cs[0, 0], c, atol=1e-12)
+        assert np.allclose(hs[0], h, atol=1e-12)
+        assert np.allclose(cs[0], c, atol=1e-12)
 
     def test_hidden_dimension_independent_of_input(self):
         model = tiny_model(pooling="lstm", lstm_hidden=24)
         y = SeededRng(5).uniform(-1, 1, (1, 4, 8))
-        hs, _, _ = lstm_forward(y, model.params)
-        assert hs.shape == (1, 4, 24)
+        hs, _ = lstm_forward(y[0], [4], model.params)
+        assert hs.shape == (1, 24)
 
 
 def _sig(z):
@@ -233,23 +236,50 @@ class TestFusedLstm:
     def test_ragged_batch_matches_reference_loop(self):
         model = tiny_model(pooling="lstm")
         lengths = np.array([5, 1, 3, 7])
-        y = SeededRng(6).uniform(-1, 1, (4, 7, 8))
-        mask = np.arange(7) < lengths[:, None]
-        last, cache = pool(y, mask, "lstm", model.params)
+        y = SeededRng(6).uniform(-1, 1, (lengths.sum(), 8))
+        last, cache = lstm_forward(y, lengths, model.params, keep=True)
         dh_last = SeededRng(7).uniform(-1, 1, (4, 16))
         grads = model.params.zeros_like()
-        dy = lstm_backward(dh_last, lengths, cache, model.params, grads)
+        dy = lstm_backward(dh_last, cache, model.params, grads)
+        assert dy.shape == y.shape
         dw_ref, db_ref = np.zeros_like(grads["lstm.w"]), np.zeros_like(grads["lstm.b"])
-        for b, n in enumerate(lengths):
-            hs, steps = reference_lstm(y[b, :n], model.params)
+        for b, (lo, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+            hs, steps = reference_lstm(y[lo : lo + n], model.params)
             assert np.abs(last[b] - hs[-1]).max() <= 1e-12
             dy_ref, dw, db = reference_lstm_backward(dh_last[b], steps, model.params, 8)
-            assert np.abs(dy[b, :n] - dy_ref).max() <= 1e-12
-            assert np.all(dy[b, n:] == 0.0)
+            assert np.abs(dy[lo : lo + n] - dy_ref).max() <= 1e-12
             dw_ref += dw
             db_ref += db
         assert np.abs(grads["lstm.w"] - dw_ref).max() <= 1e-12
         assert np.abs(grads["lstm.b"] - db_ref).max() <= 1e-12
+
+    # n = 1 runs beside an absent row and n = 2 beside a finished one (the
+    # 2-row floor); PACK_SIZE + 1 sentences make two packs
+    @pytest.mark.parametrize("n", [1, 2, PACK_SIZE - 1, PACK_SIZE, PACK_SIZE + 1])
+    def test_packs_match_reference_loop(self, n):
+        # no attention blocks, so the LSTM reads the embedding rows; "" is
+        # <cls> alone, a 1-step sentence
+        texts = [MIXED[2], ""] + MIXED
+        texts = [texts[i % len(texts)] for i in range(n)]
+        model = tiny_model(pooling="lstm", num_blocks=0)
+        p = model.params
+        tape = []
+        emb = encode(texts, model, tape)
+        assert len(tape) == math.ceil(n / PACK_SIZE)
+        demb = SeededRng(n).uniform(-1, 1, emb.shape)
+        grads = p.zeros_like()
+        for positions, cache in tape:
+            _backward(demb[positions], cache, model, grads)
+        ref = p.zeros_like()
+        for b, ids in enumerate(token_ids(texts, model)):
+            hs, steps = reference_lstm(embed_tokens(ids, p["embed"]), p)
+            assert np.abs(emb[b] - hs[-1]).max() <= 1e-12
+            dy_ref, dw, db = reference_lstm_backward(demb[b], steps, p, 8)
+            np.add.at(ref["embed"], ids, dy_ref)
+            ref["lstm.w"] += dw
+            ref["lstm.b"] += db
+        for name in ("lstm.w", "lstm.b", "embed"):
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
 
 
 class TestParamTable:
@@ -342,13 +372,33 @@ class TestBatchedEncoder:
         assert np.array_equal(encode(MIXED, model, tape), encode(MIXED, model))
         assert tape
 
-    @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE])
+    @pytest.mark.parametrize(
+        "n",
+        [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE,
+         PACK_SIZE - 1, PACK_SIZE, PACK_SIZE + 1, 3 * PACK_SIZE],
+    )
     def test_tape_covers_each_position_once(self, n):
         texts = [MIXED[i % len(MIXED)] for i in range(n)]
         tape = []
         encode(texts, tiny_model(), tape)
-        assert len(tape) == math.ceil(n / CHUNK_SIZE)
+        assert len(tape) == math.ceil(n / PACK_SIZE)
         assert sorted(i for positions, _ in tape for i in positions) == list(range(n))
+        for positions, (chunks, _) in tape:
+            assert len(chunks) == math.ceil(len(positions) / CHUNK_SIZE)
+
+    def test_encode_holds_one_pack_at_a_time(self):
+        # 1,000 ten-token sentences at the default sizes peak at 5.9 MB in
+        # packs of 128 and at 32 MB in one pack for the whole call
+        texts = [" ".join(f"w{(7 * i + 3 * j) % 97}" for j in range(10)) for i in range(1000)]
+        vocab = build_vocabulary(texts)
+        model = init_model(EncoderConfig(), vocab, SeededRng(0).substream("init"))
+        tracemalloc.start()
+        try:
+            encode(texts, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_empty_list(self):
         assert encode([], tiny_model(pooling="lstm")).shape == (0, 16)

@@ -68,6 +68,21 @@ class TestFeaturize:
         feats = featurize([rec], model)
         assert np.all(feats[0, 16:24] == 0.0)
 
+    @pytest.mark.parametrize("pooling", ["mean", "lstm"])
+    def test_pairs_match_sides_encoded_apart(self, pooling):
+        from sentenc.encoder import encode
+
+        model = small_encoder(pooling)
+        words = [f"word{i}" for i in range(30)]
+        records = [
+            EvalRecord("x", (" ".join(words[i : i + 1 + i % 5]), " ".join(words[i % 7 : 9])))
+            for i in range(20)
+        ]
+        u = encode([r.sentences[0] for r in records], model)
+        v = encode([r.sentences[1] for r in records], model)
+        want = np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
+        assert np.abs(featurize(records, model) - want).max() <= 1e-12
+
     def test_single_is_embedding_verbatim(self):
         from sentenc.encoder import encode
 
