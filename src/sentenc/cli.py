@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numeric divergence;
 each error class in `sentenc.errors` carries its own.
 Every command is deterministic given (config, seed); the master seed feeds
-each stage through a named sub-stream. --threads is accepted but unused: all
-work runs serially in one process.
+each stage through a named sub-stream. --threads N must be at least 1 and is
+otherwise unused: all work runs serially in one process.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
-            "--threads", type=int, default=1, help="accepted but unused: work runs serially"
+            "--threads", type=int, default=1, help="at least 1; unused: work runs serially"
         )
         if name == "encode":
             p.add_argument("--input", required=True, help="one sentence per line")
@@ -149,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads {args.threads} must be at least 1")
         config = load_run_config(args.config, args.seed)
         if args.command == "mine":
             return cmd_mine(config)

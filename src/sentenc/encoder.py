@@ -2,19 +2,19 @@
 and four pooling strategies (cls / mean / max / LSTM last hidden state).
 
 `encode` sorts sentences by length and cuts them into packs of PACK_SIZE.
-Within a pack the token layers (embedding, attention blocks, cls/mean/max
-pooling) run on padded chunks `(B, T, d)` of CHUNK_SIZE sentences with a
-`(B, T)` mask of real tokens; padding never reaches an embedding and gets
-exact zero gradients. lstm pooling runs once per pack, packed: one time
-loop over the pack's sentences, longest first, with no padding. Backward
-passes are analytic and checked against central finite differences in the
-test suite. Under lstm pooling the output has `lstm_hidden` dimensions,
-otherwise `embed_dim`.
+The token layers run on a pack's unpadded token rows: per chunk of at most
+CHUNK_TOKENS rows for the embedding and position-wise layers, per run of
+equal-length sentences, a (B, T, d) view, for attention and cls/mean/max
+pooling. lstm pooling runs one packed time loop per pack. No row's
+reduction order depends on its batch mates, so a sentence encodes to the
+same bits in any batch. Backward passes are analytic and checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
@@ -40,16 +40,16 @@ LAYER_NORM_EPS = 1e-5
 # Version of the save_model document; load_model reads only this one.
 CHECKPOINT_FORMAT = 2
 
-# Sentences per padded batch of the token layers: larger chunks pad more and
-# hold more activations at once, smaller ones take more Python steps per
-# sentence.
-CHUNK_SIZE = 8
+# Token rows per chunk of the token layers; a longer sentence is a chunk on
+# its own. It bounds the activations a chunk holds at once: encoding 128
+# sentences of 35-59 tokens peaks at 9.9 MB in chunks of 512 rows and at
+# 57 MB as one chunk per pack.
+CHUNK_TOKENS = 512
 
-# Sentences per pack, the unit the LSTM runs one time loop over. A multiple
-# of CHUNK_SIZE, so packs cut the same chunks as one long sorted list would.
-# It bounds the pack's token copies and per-step (rows, 4 * lstm_hidden)
-# temporaries: encoding 1,000 ten-token sentences peaks at 5.9 MB in packs
-# of 128 and at 32 MB as one pack.
+# Sentences per pack, the unit the LSTM runs one time loop over. It bounds
+# the pack's token rows and per-step (rows, 4 * lstm_hidden) temporaries:
+# encoding 1,000 ten-token sentences peaks at 6.2 MB in packs of 128 and at
+# 32 MB as one pack.
 PACK_SIZE = 128
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -101,14 +101,6 @@ def embed_tokens(ids, embedding: np.ndarray) -> np.ndarray:
     if np.any((ids < 0) | (ids >= embedding.shape[0])):
         raise EncoderError("token id out of range for embedding matrix")
     return embedding[ids]
-
-
-def _length_packs(ids: list[list[int]]) -> list[list[int]]:
-    """Indices of the token id rows `ids`, stably sorted by row length and
-    cut into packs of at most PACK_SIZE. _forward cuts each pack into chunks
-    of CHUNK_SIZE, so each padded batch holds sentences of similar length."""
-    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-    return [order[i : i + PACK_SIZE] for i in range(0, len(order), PACK_SIZE)]
 
 
 @dataclass
@@ -231,19 +223,21 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 
 def attention_block_forward(
-    x: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray], prefix: str
+    x: np.ndarray, runs: list, params: dict[str, np.ndarray], prefix: str
 ):
     """Single-head scaled dot-product attention + residual + layer norm +
-    position-wise ReLU FFN + residual + layer norm over a padded batch
-    x (B, T, d). Padded keys (mask False) get zero attention weight.
-    Returns (output, cache)."""
-    bsz, n, d = x.shape
+    position-wise ReLU FFN + residual + layer norm over token rows x (..., d).
+    Each run (row slice, B, T) of B sentences of T tokens attends as one
+    (B, T, d) view; a row in no run gets no attention. Returns (out, cache)."""
+    d = x.shape[-1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
-    x2 = x.reshape(-1, d)  # position-wise layers see one row per token
-    q, k, v = ((x2 @ w).reshape(bsz, n, d) for w in (wq, wk, wv))
-    scores = (q @ k.transpose(0, 2, 1)) / np.sqrt(d)
-    attn = softmax(np.where(mask[:, None, :], scores, -np.inf))
-    heads = (attn @ v).reshape(-1, d)
+    x2 = x.reshape(-1, d)
+    q, k, v = (x2 @ w for w in (wq, wk, wv))
+    heads, attn = np.zeros_like(q), []
+    for rows, bsz, n in runs:
+        qr, kr, vr = (m[rows].reshape(bsz, n, d) for m in (q, k, v))
+        attn.append(softmax((qr @ kr.transpose(0, 2, 1)) / np.sqrt(d)))
+        heads[rows] = (attn[-1] @ vr).reshape(-1, d)
     res1 = x2 + heads @ wo
     norm1, ln1_cache = layer_norm_forward(
         res1, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"]
@@ -254,8 +248,8 @@ def attention_block_forward(
     out, ln2_cache = layer_norm_forward(
         norm1 + ffn, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
     )
-    cache = (x2, q, k, v, attn, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
-    return out.reshape(bsz, n, d), cache
+    cache = (x2, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
+    return out.reshape(x.shape), cache
 
 
 def attention_block_backward(
@@ -265,8 +259,8 @@ def attention_block_backward(
     grads: dict[str, np.ndarray],
     prefix: str,
 ) -> np.ndarray:
-    x, q, k, v, attn, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache = cache
-    bsz, n, d = q.shape
+    x, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache = cache
+    d = q.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
 
     dres2, dg2, db2 = layer_norm_backward(dout.reshape(-1, d), ln2_cache)
@@ -289,20 +283,22 @@ def attention_block_backward(
     dproj = dres1
     dx = dres1.copy()
 
-    dheads = (dproj @ wo.T).reshape(bsz, n, d)
+    dheads = dproj @ wo.T
     grads[f"{prefix}.wo"] += heads.T @ dproj
-    dattn = dheads @ v.transpose(0, 2, 1)
-    dv = attn.transpose(0, 2, 1) @ dheads
-    # rowwise softmax Jacobian; masked keys have attn == 0 and get no gradient
-    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
-    dq = ((dscores @ k) / np.sqrt(d)).reshape(-1, d)
-    dk = ((dscores.transpose(0, 2, 1) @ q) / np.sqrt(d)).reshape(-1, d)
-    dv = dv.reshape(-1, d)
+    dq, dk, dv = (np.zeros_like(dheads) for _ in range(3))
+    for (rows, bsz, n), a in zip(runs, attn):
+        qr, kr, vr, dh = (m[rows].reshape(bsz, n, d) for m in (q, k, v, dheads))
+        dattn = dh @ vr.transpose(0, 2, 1)
+        dv[rows] = (a.transpose(0, 2, 1) @ dh).reshape(-1, d)
+        # rowwise softmax Jacobian
+        dscores = a * (dattn - (dattn * a).sum(axis=2, keepdims=True))
+        dq[rows] = ((dscores @ kr) / np.sqrt(d)).reshape(-1, d)
+        dk[rows] = ((dscores.transpose(0, 2, 1) @ qr) / np.sqrt(d)).reshape(-1, d)
     dx += dq @ wq.T + dk @ wk.T + dv @ wv.T
     grads[f"{prefix}.wq"] += x.T @ dq
     grads[f"{prefix}.wk"] += x.T @ dk
     grads[f"{prefix}.wv"] += x.T @ dv
-    return dx.reshape(bsz, n, d)
+    return dx.reshape(dout.shape)
 
 
 def _pack(lengths: np.ndarray):
@@ -417,70 +413,77 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full encoder
 
-def pool(y: np.ndarray, mask: np.ndarray, strategy: str):
-    """Reduce a padded batch of token vectors (B, T, d) to one vector per
-    sentence by cls, mean or max pooling, looking only at real tokens.
-    Returns (vectors, cache). lstm pooling runs over a whole pack in _forward."""
+def pool(y: np.ndarray, strategy: str):
+    """Reduce a run of equal-length sentences' token vectors (B, T, d) to one
+    vector per sentence by cls, mean or max pooling. Returns (vectors,
+    cache). lstm pooling runs over a whole pack in _forward."""
     if strategy == "cls":
         return y[:, 0].copy(), None
     if strategy == "mean":
-        return (y * mask[..., None]).sum(axis=1) / mask.sum(axis=1)[:, None], None
+        return y.sum(axis=1) / y.shape[1], None
     if strategy == "max":
-        # ties resolve to the first index
-        argmax = np.where(mask[..., None], y, -np.inf).argmax(axis=1)
+        argmax = y.argmax(axis=1)  # ties resolve to the first index
         return np.take_along_axis(y, argmax[:, None, :], axis=1)[:, 0], argmax
     raise EncoderError(f"pool takes cls, mean or max, not {strategy!r}")
 
 
 def _token_layers(rows: list[list[int]], model: EncoderModel, keep: bool):
-    """Embedding and attention blocks over one padded chunk of tokenize rows.
-    Returns (padded ids, mask, token vectors (B, T, d), the block caches if
-    `keep`, else [])."""
-    lengths = np.array([len(row) for row in rows])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.full(mask.shape, PAD_ID)
-    padded[mask] = np.concatenate(rows)
-    x = embed_tokens(padded, model.params["embed"])
+    """Embedding and attention blocks over one chunk of tokenize rows as flat
+    token rows. Returns (ids, runs of equal lengths, token vectors (len(ids),
+    d), the block caches if `keep`, else [])."""
+    ids = np.concatenate(rows)
+    # a 1-row product takes another BLAS path: a lone 1-token sentence runs
+    # beside a copy of its row, which is in no run
+    if len(ids) == 1:
+        ids = np.repeat(ids, 2)
+    sizes = [(len(list(group)), n) for n, group in itertools.groupby(map(len, rows))]
+    ends = list(itertools.accumulate(bsz * n for bsz, n in sizes))
+    runs = [(slice(end - bsz * n, end), bsz, n) for end, (bsz, n) in zip(ends, sizes)]
+    x = embed_tokens(ids, model.params["embed"])
     block_caches = []
     for b in range(model.config.num_blocks):
-        x, cache = attention_block_forward(x, mask, model.params, f"block{b}")
+        x, cache = attention_block_forward(x, runs, model.params, f"block{b}")
         if keep:
             block_caches.append(cache)
-    return padded, mask, x, block_caches
+    return ids, runs, x, block_caches
 
 
 def _forward(ids: list[list[int]], model: EncoderModel, keep: bool = True):
-    """Encode one pack of tokenize rows: embedding and attention blocks per
-    padded chunk of CHUNK_SIZE rows in the given order, then pooling, per
-    chunk for cls/mean/max and one packed LSTM over the pack for lstm.
-    Returns ((n, output_dim) embeddings, cache for _backward if `keep`,
-    else None)."""
+    """Encode one pack of tokenize rows, in the given order, as flat token
+    rows. Each chunk of whole sentences (at most CHUNK_TOKENS rows, or one
+    longer sentence) runs the embedding and attention blocks, then pooling
+    per run of equal lengths; lstm pooling runs once over the pack's rows.
+    Returns ((n, output_dim) embeddings, cache for _backward if `keep`)."""
     cfg = model.config
+    lengths = [len(row) for row in ids]
     emb = np.empty((len(ids), cfg.output_dim))
-    chunks = []
-    if cfg.pooling == "lstm":  # the pack's token vectors, sentence by sentence
-        lengths = np.array([len(row) for row in ids])
-        tokens, tok = np.empty((lengths.sum(), cfg.embed_dim)), 0
-    for lo in range(0, len(ids), CHUNK_SIZE):
-        padded, mask, x, block_caches = _token_layers(ids[lo : lo + CHUNK_SIZE], model, keep)
-        pool_cache = None
+    # rows filled in the current chunk; a sentence that does not fit starts
+    # the next one
+    filled = itertools.accumulate(lengths, lambda f, n: f + n if f + n <= CHUNK_TOKENS else n)
+    starts = [i for i, (f, n) in enumerate(zip(filled, lengths)) if f == n] + [len(ids)]
+    chunks, tokens = [], []
+    for lo, hi in zip(starts, starts[1:]):
+        chunk_ids, runs, x, block_caches = _token_layers(ids[lo:hi], model, keep)
         if cfg.pooling == "lstm":
-            count = int(mask.sum())
-            tokens[tok : tok + count] = x[mask]
-            tok += count
+            tokens.append(x[: runs[-1][0].stop])
+            pool_caches = []
         else:
-            emb[lo : lo + len(mask)], pool_cache = pool(x, mask, cfg.pooling)
+            pooled = [pool(x[rows].reshape(bsz, n, -1), cfg.pooling) for rows, bsz, n in runs]
+            emb[lo:hi] = np.concatenate([vectors for vectors, _ in pooled])
+            pool_caches = [pool_cache for _, pool_cache in pooled]
         if keep:
-            chunks.append((padded, mask, block_caches, pool_cache))
+            chunks.append((chunk_ids, runs, block_caches, pool_caches))
     lstm_cache = None
     if cfg.pooling == "lstm":
+        tokens = np.concatenate(tokens)  # frees the chunks' outputs
         emb, lstm_cache = lstm_forward(tokens, lengths, model.params, keep)
     return emb, ((chunks, lstm_cache) if keep else None)
 
 
 def encode(texts: list[str], model: EncoderModel, tape: list | None = None) -> np.ndarray:
     """Sentence embeddings (n, output_dim) in input order, computed in packs
-    of length-sorted sentences, so only one pack's activations are alive.
+    of PACK_SIZE length-sorted sentences, so equal lengths sit together and
+    only one pack's activations are alive.
     When `tape` is a list, each pack's (positions, cache) is appended to it
     for _backward, which keeps every pack's activations alive instead."""
     if isinstance(texts, str):
@@ -488,7 +491,9 @@ def encode(texts: list[str], model: EncoderModel, tape: list | None = None) -> n
     cfg = model.config
     ids = [tokenize(text, model.vocab, cfg.max_len) for text in texts]
     out = np.empty((len(texts), cfg.output_dim))
-    for positions in _length_packs(ids):
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))  # stable
+    for lo in range(0, len(ids), PACK_SIZE):
+        positions = order[lo : lo + PACK_SIZE]
         out[positions], cache = _forward([ids[i] for i in positions], model, tape is not None)
         if tape is not None:
             tape.append((positions, cache))
@@ -501,34 +506,33 @@ def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
     chunk's activations once its gradients are in."""
     cfg = model.config
     chunks, lstm_cache = cache
-    n = sum(len(mask) for _, mask, _, _ in chunks)
+    n = sum(bsz for _, runs, _, _ in chunks for _, bsz, _ in runs)
     demb = np.asarray(demb, dtype=np.float64)
     if demb.shape != (n, cfg.output_dim):
         raise EncoderError(f"upstream gradient shape {demb.shape} != ({n}, {cfg.output_dim})")
-    if cfg.pooling == "lstm":
-        dtokens = lstm_backward(demb, lstm_cache, model.params, grads)
-    lo = tok = 0
+    if cfg.pooling == "lstm":  # each chunk's slice of the pack's token gradient
+        cuts = np.cumsum([runs[-1][0].stop for _, runs, _, _ in chunks])[:-1]
+        dtokens = np.split(lstm_backward(demb, lstm_cache, model.params, grads), cuts)
+    lo = 0
     while chunks:
-        padded, mask, block_caches, pool_cache = chunks.pop(0)
-        drows = demb[lo : lo + len(mask)]
-        lo += len(mask)
-        if cfg.pooling == "mean":
-            dy = mask[..., None] * (drows / mask.sum(axis=1)[:, None])[:, None, :]
-        else:
-            dy = np.zeros(mask.shape + (cfg.embed_dim,))
-        if cfg.pooling == "cls":
-            dy[:, 0] = drows
-        elif cfg.pooling == "max":
-            np.put_along_axis(dy, pool_cache[:, None, :], drows[:, None, :], axis=1)
-        elif cfg.pooling == "lstm":  # this chunk's slice of the pack's gradient
-            count = int(mask.sum())
-            dy[mask] = dtokens[tok : tok + count]
-            tok += count
+        ids, runs, block_caches, pool_caches = chunks.pop(0)
+        dy = np.zeros((len(ids), cfg.embed_dim))  # a lone row's copy gets none
+        if cfg.pooling == "lstm":
+            dy[: runs[-1][0].stop] = dtokens.pop(0)
+        for (rows, bsz, n), pool_cache in zip(runs, pool_caches):
+            drun, drows = dy[rows].reshape(bsz, n, -1), demb[lo : lo + bsz]
+            lo += bsz
+            if cfg.pooling == "cls":
+                drun[:, 0] = drows
+            elif cfg.pooling == "mean":
+                drun[...] = (drows / n)[:, None, :]
+            else:
+                np.put_along_axis(drun, pool_cache[:, None, :], drows[:, None, :], axis=1)
         for b in range(cfg.num_blocks - 1, -1, -1):
             dy = attention_block_backward(
                 dy, block_caches[b], model.params, grads, f"block{b}"
             )
-        np.add.at(grads["embed"], padded[mask], dy[mask])
+        np.add.at(grads["embed"], ids, dy)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,10 @@ class TestMineCommand:
             pytest.param({"seed": "abc"}, [], "seed 'abc'", id="string_seed"),
             pytest.param({"seed": 2**70}, [], f"seed {2**70}", id="seed_over_64_bits"),
             pytest.param({}, ["--seed", "-5"], "seed -5", id="negative_seed_flag"),
+            pytest.param({}, ["--threads", "0"], "--threads 0 must be at least 1",
+                         id="zero_threads"),
+            pytest.param({}, ["--threads", "-2"], "--threads -2 must be at least 1",
+                         id="negative_threads"),
             pytest.param({"eval": {"lambda_grid": []}}, [], "lambda_grid", id="empty_lambda_grid"),
             pytest.param({"min_count": "x"}, [], "min_count 'x'", id="string_min_count"),
             pytest.param({"training": {"batch_size": 1}}, [], "batch_size 1", id="batch_size_1"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentenc.encoder import (
-    CHUNK_SIZE,
+    CHUNK_TOKENS,
     CLS_ID,
     PACK_SIZE,
     EncoderConfig,
@@ -107,8 +107,8 @@ class TestAttentionBlock:
     def test_singleton_attention_weight(self):
         model = tiny_model()
         x = SeededRng(1).uniform(-1, 1, (1, 1, 8))
-        _, cache = attention_block_forward(x, np.ones((1, 1), bool), model.params, "block0")
-        attn = cache[4]
+        _, cache = attention_block_forward(x, [(slice(0, 1), 1, 1)], model.params, "block0")
+        attn = cache[4][0]
         assert attn.shape == (1, 1, 1)
         assert attn[0, 0, 0] == 1.0
 
@@ -116,7 +116,7 @@ class TestAttentionBlock:
     def test_output_length_preserved(self, n):
         model = tiny_model()
         x = SeededRng(n).uniform(-1, 1, (1, n, 8))
-        out, _ = attention_block_forward(x, np.ones((1, n), bool), model.params, "block0")
+        out, _ = attention_block_forward(x, [(slice(0, n), 1, n)], model.params, "block0")
         assert out.shape == (1, n, 8)
 
 
@@ -326,6 +326,28 @@ class TestParamSet:
         assert all(view.base is zeros.flat for view in zeros.values())
 
 
+# "" is <cls> alone; the rest repeat token lengths (runs) and sum to more
+# than CHUNK_TOKENS rows
+INVARIANCE_TEXTS = [
+    "",
+    "the cat sat",
+    " ".join(f"w{i % 23}" for i in range(60)),
+    "a dog ran",
+    " ".join(f"w{(3 * i) % 29}" for i in range(60)),
+    "now",
+    " ".join(f"w{(5 * i) % 31}" for i in range(45)),
+    "birds fly high now and the cat sat",
+    " ".join(f"w{(7 * i) % 37}" for i in range(63)),
+    "",
+    " ".join(f"w{(2 * i) % 41}" for i in range(50)),
+    "the dog",
+    " ".join(f"w{(11 * i) % 43}" for i in range(63)),
+    " ".join(f"w{(13 * i) % 47}" for i in range(38)),
+    "fly high birds",
+    " ".join(f"w{(17 * i) % 53}" for i in range(55)),
+    " ".join(f"w{(19 * i) % 59}" for i in range(63)),
+]
+
 MIXED = [
     "the cat sat",
     "a dog ran",
@@ -345,12 +367,30 @@ class TestBatchedEncoder:
     @pytest.mark.parametrize("blocks", [0, 1, 2])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
     def test_embedding_independent_of_batch_mates(self, pooling, blocks):
-        assert len(MIXED) > CHUNK_SIZE
         model = tiny_model(pooling=pooling, num_blocks=blocks)
+        # some sentences share a length, so they attend as one run
+        assert len(set(map(len, token_ids(MIXED, model)))) < len(MIXED)
         together = encode(MIXED, model)
         assert np.array_equal(together, encode(MIXED, model))
         for text, row in zip(MIXED, together):
-            assert np.abs(encode([text], model)[0] - row).max() <= 1e-12
+            assert np.array_equal(encode([text], model)[0], row)
+
+    @pytest.mark.parametrize("embed_dim", [16, 64])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
+    def test_prefix_rows_bit_equal_rows_encoded_alone(self, pooling, embed_dim):
+        model = init_model(
+            EncoderConfig(embed_dim=embed_dim, pooling=pooling),
+            build_vocabulary(INVARIANCE_TEXTS),
+            SeededRng(5).substream("init"),
+        )
+        lengths = [len(row) for row in token_ids(INVARIANCE_TEXTS, model)]
+        assert lengths[0] == 1 and len(set(lengths)) < len(lengths)
+        assert sum(lengths) > CHUNK_TOKENS  # the 17 texts make chunks of one pack
+        alone = [encode([text], model)[0] for text in INVARIANCE_TEXTS]
+        for n in range(1, len(INVARIANCE_TEXTS) + 1):
+            rows = encode(INVARIANCE_TEXTS[:n], model)
+            for i in range(n):
+                assert np.array_equal(rows[i], alone[i]), (n, i)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
     def test_padded_batch_gradient_is_sum_of_single_gradients(self, pooling):
@@ -373,18 +413,34 @@ class TestBatchedEncoder:
         assert tape
 
     @pytest.mark.parametrize(
-        "n",
-        [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE,
-         PACK_SIZE - 1, PACK_SIZE, PACK_SIZE + 1, 3 * PACK_SIZE],
+        "n", [1, 7, 8, 9, 24, PACK_SIZE - 1, PACK_SIZE, PACK_SIZE + 1, 3 * PACK_SIZE]
     )
     def test_tape_covers_each_position_once(self, n):
         texts = [MIXED[i % len(MIXED)] for i in range(n)]
+        model = tiny_model()
+        ids = token_ids(texts, model)
         tape = []
-        encode(texts, tiny_model(), tape)
+        encode(texts, model, tape)
         assert len(tape) == math.ceil(n / PACK_SIZE)
         assert sorted(i for positions, _ in tape for i in positions) == list(range(n))
         for positions, (chunks, _) in tape:
-            assert len(chunks) == math.ceil(len(positions) / CHUNK_SIZE)
+            # each chunk holds whole sentences, at most CHUNK_TOKENS rows
+            # unless it is one sentence, and the chunks' runs cover the
+            # pack's token rows once, in order
+            covered = []
+            for chunk_ids, runs, _, _ in chunks:
+                rows = sum(bsz * length for _, bsz, length in runs)
+                assert rows <= CHUNK_TOKENS or [bsz for _, bsz, _ in runs] == [1]
+                covered.extend(chunk_ids[:rows])
+            assert covered == [t for i in positions for t in ids[i]]
+        if n == 3 * PACK_SIZE:  # the longest pack holds more than CHUNK_TOKENS rows
+            assert len(tape[-1][1][0]) > 1
+
+    def test_lone_one_token_sentence_runs_as_two_rows(self):
+        tape = []
+        encode([""], tiny_model(), tape)
+        [(chunk_ids, runs, _, _)] = tape[0][1][0]
+        assert chunk_ids.tolist() == [CLS_ID, CLS_ID] and runs == [(slice(0, 1), 1, 1)]
 
     def test_encode_holds_one_pack_at_a_time(self):
         # 1,000 ten-token sentences at the default sizes peak at 5.9 MB in
@@ -412,22 +468,22 @@ class TestPooling:
     def test_single_token_all_simple_pools_agree(self):
         y = np.array([[[1.0, -2.0, 3.0]]])
         for strategy in ("cls", "mean", "max"):
-            vec, _ = pool(y, np.ones((1, 1), bool), strategy)
+            vec, _ = pool(y, strategy)
             assert np.array_equal(vec, y[0])
 
     def test_mean(self):
         y = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        vec, _ = pool(y, np.ones((1, 2), bool), "mean")
+        vec, _ = pool(y, "mean")
         assert vec.tolist() == [[2.0, 2.0]]
 
     def test_max(self):
         y = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        vec, _ = pool(y, np.ones((1, 2), bool), "max")
+        vec, _ = pool(y, "max")
         assert vec.tolist() == [[3.0, 3.0]]
 
     def test_unknown_strategy(self):
         with pytest.raises(EncoderError):
-            pool(np.ones((1, 2, 2)), np.ones((1, 2), bool), "median")
+            pool(np.ones((1, 2, 2)), "median")
 
 
 class TestEncode:

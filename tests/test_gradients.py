@@ -5,6 +5,7 @@ import pytest
 
 from fd_oracle import finite_difference_grad
 
+from sentenc import encoder
 from sentenc.corpus import ParaphrasePair
 from sentenc.encoder import (
     EncoderConfig,
@@ -121,6 +122,35 @@ class TestFullLossGradient:
         def loss_fn(m):
             a, b = encode([p.a for p in pairs], m), encode([p.b for p in pairs], m)
             return mnr_loss(similarity_matrix(a, b, 1.0)[0])
+
+        fd = finite_difference_grad(loss_fn, model, 1e-5)
+        assert max_relative_error(analytic, fd) < 1e-3
+
+    # "" is <cls> alone and the other three texts are 4 tokens long: at the
+    # default CHUNK_TOKENS they make one chunk whose 4-token run attends as
+    # one (3, 4, d) view; at 1 every sentence is a chunk, so "" runs as two
+    # copies of its row (the 2-row floor)
+    @pytest.mark.parametrize("chunk_tokens", [encoder.CHUNK_TOKENS, 1])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
+    def test_lone_token_and_equal_length_run(self, pooling, chunk_tokens, monkeypatch):
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", chunk_tokens)
+        model = tiny_model(pooling)
+        pairs = [ParaphrasePair("", TEXTS[0]), ParaphrasePair(TEXTS[2], TEXTS[3])]
+        texts = [p.a for p in pairs] + [p.b for p in pairs]
+        tape = []
+        encode(texts, model, tape)
+        [(_, (chunks, _))] = tape
+        runs = [[(bsz, n) for _, bsz, n in runs] for _, runs, _, _ in chunks]
+        if chunk_tokens == 1:
+            assert runs == [[(1, 1)], [(1, 4)], [(1, 4)], [(1, 4)]]
+            assert len(chunks[0][0]) == 2
+        else:
+            assert runs == [[(1, 1), (3, 4)]]
+        _, analytic = batch_loss_and_grads(pairs, model, 1.0)
+
+        def loss_fn(m):
+            emb = encode(texts, m)
+            return mnr_loss(similarity_matrix(emb[:2], emb[2:], 1.0)[0])
 
         fd = finite_difference_grad(loss_fn, model, 1e-5)
         assert max_relative_error(analytic, fd) < 1e-3
