@@ -27,16 +27,24 @@ from .training import TrainConfig
 @dataclass
 class FilterEncoderConfig:
     type: Literal["hashed_ngram", "precomputed"] = "hashed_ngram"
-    dimension: int = 512
-    path: str | None = None
+    dimension: int | None = None  # hashed_ngram only, 512 when unset
+    path: str | None = None  # precomputed only
 
     def __post_init__(self):
+        if self.type == "precomputed":
+            if not self.path:
+                raise ConfigError("precomputed filter encoder needs a path")
+            if self.dimension is not None:
+                raise ConfigError(
+                    f"precomputed filter encoder reads no dimension, got {self.dimension!r}"
+                )
+            return
+        if self.path is not None:
+            raise ConfigError(f"hashed_ngram filter encoder reads no path, got {self.path!r}")
+        if self.dimension is None:
+            self.dimension = 512
         if self.dimension < MIN_FILTER_DIMENSION:
             raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
-        if self.type == "precomputed" and not self.path:
-            raise ConfigError("precomputed filter encoder needs a path")
-        if self.type == "hashed_ngram" and self.path is not None:
-            raise ConfigError(f"hashed_ngram filter encoder reads no path, got {self.path!r}")
 
 
 @dataclass

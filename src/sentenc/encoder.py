@@ -2,13 +2,13 @@
 and four pooling strategies (cls / mean / max / LSTM last hidden state).
 
 `encode` sorts sentences by length and cuts them into packs of PACK_SIZE.
-The token layers run on a pack's unpadded token rows: per chunk of at most
-CHUNK_TOKENS rows for the embedding and position-wise layers, per run of
-equal-length sentences, a (B, T, d) view, for attention and cls/mean/max
-pooling. lstm pooling runs one packed time loop per pack. No row's
-reduction order depends on its batch mates, so a sentence encodes to the
-same bits in any batch. Backward passes are analytic and checked against
-central finite differences in the test suite.
+The token layers run on a pack's unpadded token rows per chunk of at most
+CHUNK_TOKENS rows: the embedding and position-wise layers on the chunk's
+rows, attention per run of equal-length sentences, a (B, T, d) view.
+Pooling is one layer over all of the pack's rows (`pool`/`pool_backward`),
+whatever the strategy. No row's reduction order depends on its batch mates,
+so a sentence encodes to the same bits in any batch. Backward passes are
+analytic and checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -226,19 +226,18 @@ def attention_block_forward(
     x: np.ndarray, runs: list, params: dict[str, np.ndarray], prefix: str
 ):
     """Single-head scaled dot-product attention + residual + layer norm +
-    position-wise ReLU FFN + residual + layer norm over token rows x (..., d).
+    position-wise ReLU FFN + residual + layer norm over token rows x (rows, d).
     Each run (row slice, B, T) of B sentences of T tokens attends as one
     (B, T, d) view; a row in no run gets no attention. Returns (out, cache)."""
-    d = x.shape[-1]
+    d = x.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
-    x2 = x.reshape(-1, d)
-    q, k, v = (x2 @ w for w in (wq, wk, wv))
+    q, k, v = (x @ w for w in (wq, wk, wv))
     heads, attn = np.zeros_like(q), []
     for rows, bsz, n in runs:
         qr, kr, vr = (m[rows].reshape(bsz, n, d) for m in (q, k, v))
         attn.append(softmax((qr @ kr.transpose(0, 2, 1)) / np.sqrt(d)))
         heads[rows] = (attn[-1] @ vr).reshape(-1, d)
-    res1 = x2 + heads @ wo
+    res1 = x + heads @ wo
     norm1, ln1_cache = layer_norm_forward(
         res1, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"]
     )
@@ -248,8 +247,8 @@ def attention_block_forward(
     out, ln2_cache = layer_norm_forward(
         norm1 + ffn, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
     )
-    cache = (x2, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
-    return out.reshape(x.shape), cache
+    cache = (x, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
+    return out, cache
 
 
 def attention_block_backward(
@@ -263,7 +262,7 @@ def attention_block_backward(
     d = q.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
 
-    dres2, dg2, db2 = layer_norm_backward(dout.reshape(-1, d), ln2_cache)
+    dres2, dg2, db2 = layer_norm_backward(dout, ln2_cache)
     grads[f"{prefix}.ln2_g"] += dg2
     grads[f"{prefix}.ln2_b"] += db2
     dffn = dres2
@@ -298,7 +297,7 @@ def attention_block_backward(
     grads[f"{prefix}.wq"] += x.T @ dq
     grads[f"{prefix}.wk"] += x.T @ dk
     grads[f"{prefix}.wv"] += x.T @ dv
-    return dx.reshape(dout.shape)
+    return dx
 
 
 def _pack(lengths: np.ndarray):
@@ -413,18 +412,46 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full encoder
 
-def pool(y: np.ndarray, strategy: str):
-    """Reduce a run of equal-length sentences' token vectors (B, T, d) to one
-    vector per sentence by cls, mean or max pooling. Returns (vectors,
-    cache). lstm pooling runs over a whole pack in _forward."""
-    if strategy == "cls":
-        return y[:, 0].copy(), None
+def _runs(lengths) -> list:
+    """Each run of B consecutive sentences of length T as (row slice, B, T)."""
+    sizes = [(len(list(group)), n) for n, group in itertools.groupby(lengths)]
+    ends = list(itertools.accumulate(bsz * n for bsz, n in sizes))
+    return [(slice(end - bsz * n, end), bsz, n) for end, (bsz, n) in zip(ends, sizes)]
+
+
+def pool(tokens: np.ndarray, lengths, params, strategy: str, keep: bool = False):
+    """Reduce flat token rows (sum(lengths), d), each sentence's rows in turn,
+    to one vector per sentence. lstm runs the packed LSTM; mean averages each
+    run's (B, T, d) view over T; cls and max pick one row per sentence and
+    dimension, the sentence's first row or its first maximum. Returns
+    (vectors, cache for pool_backward if `keep`, else None)."""
+    if strategy == "lstm":
+        return lstm_forward(tokens, lengths, params, keep)
+    runs = _runs(lengths)
     if strategy == "mean":
-        return y.sum(axis=1) / y.shape[1], None
-    if strategy == "max":
-        argmax = y.argmax(axis=1)  # ties resolve to the first index
-        return np.take_along_axis(y, argmax[:, None, :], axis=1)[:, 0], argmax
-    raise EncoderError(f"pool takes cls, mean or max, not {strategy!r}")
+        vectors = [tokens[rows].reshape(bsz, n, -1).sum(axis=1) / n for rows, bsz, n in runs]
+        return np.concatenate(vectors), (np.array(lengths) if keep else None)
+    picks = (np.cumsum(lengths) - lengths)[:, None]  # each sentence's first row
+    if strategy == "max":  # argmax resolves ties to the first row
+        argmax = [tokens[rows].reshape(bsz, n, -1).argmax(axis=1) for rows, bsz, n in runs]
+        picks = picks + np.concatenate(argmax)
+    elif strategy != "cls":
+        raise EncoderError(f"unknown pooling strategy {strategy!r}")
+    cols = np.arange(tokens.shape[1])
+    return tokens[picks, cols], ((len(tokens), picks) if keep else None)
+
+
+def pool_backward(demb: np.ndarray, cache, params, grads, strategy: str) -> np.ndarray:
+    """Gradient of the token rows pool read, in their layout; lstm adds its
+    parameter gradients to `grads`."""
+    if strategy == "lstm":
+        return lstm_backward(demb, cache, params, grads)
+    if strategy == "mean":
+        return np.repeat(demb / cache[:, None], cache, axis=0)
+    n_rows, picks = cache
+    dy = np.zeros((n_rows, demb.shape[1]))
+    dy[picks, np.arange(demb.shape[1])] = demb
+    return dy
 
 
 def _token_layers(rows: list[list[int]], model: EncoderModel, keep: bool):
@@ -436,9 +463,7 @@ def _token_layers(rows: list[list[int]], model: EncoderModel, keep: bool):
     # beside a copy of its row, which is in no run
     if len(ids) == 1:
         ids = np.repeat(ids, 2)
-    sizes = [(len(list(group)), n) for n, group in itertools.groupby(map(len, rows))]
-    ends = list(itertools.accumulate(bsz * n for bsz, n in sizes))
-    runs = [(slice(end - bsz * n, end), bsz, n) for end, (bsz, n) in zip(ends, sizes)]
+    runs = _runs(map(len, rows))
     x = embed_tokens(ids, model.params["embed"])
     block_caches = []
     for b in range(model.config.num_blocks):
@@ -451,12 +476,10 @@ def _token_layers(rows: list[list[int]], model: EncoderModel, keep: bool):
 def _forward(ids: list[list[int]], model: EncoderModel, keep: bool = True):
     """Encode one pack of tokenize rows, in the given order, as flat token
     rows. Each chunk of whole sentences (at most CHUNK_TOKENS rows, or one
-    longer sentence) runs the embedding and attention blocks, then pooling
-    per run of equal lengths; lstm pooling runs once over the pack's rows.
-    Returns ((n, output_dim) embeddings, cache for _backward if `keep`)."""
-    cfg = model.config
+    longer sentence) runs the embedding and attention blocks; pooling then
+    runs once over the pack's rows. Returns ((n, output_dim) embeddings,
+    cache for _backward if `keep`)."""
     lengths = [len(row) for row in ids]
-    emb = np.empty((len(ids), cfg.output_dim))
     # rows filled in the current chunk; a sentence that does not fit starts
     # the next one
     filled = itertools.accumulate(lengths, lambda f, n: f + n if f + n <= CHUNK_TOKENS else n)
@@ -464,20 +487,12 @@ def _forward(ids: list[list[int]], model: EncoderModel, keep: bool = True):
     chunks, tokens = [], []
     for lo, hi in zip(starts, starts[1:]):
         chunk_ids, runs, x, block_caches = _token_layers(ids[lo:hi], model, keep)
-        if cfg.pooling == "lstm":
-            tokens.append(x[: runs[-1][0].stop])
-            pool_caches = []
-        else:
-            pooled = [pool(x[rows].reshape(bsz, n, -1), cfg.pooling) for rows, bsz, n in runs]
-            emb[lo:hi] = np.concatenate([vectors for vectors, _ in pooled])
-            pool_caches = [pool_cache for _, pool_cache in pooled]
+        tokens.append(x[: runs[-1][0].stop])
         if keep:
-            chunks.append((chunk_ids, runs, block_caches, pool_caches))
-    lstm_cache = None
-    if cfg.pooling == "lstm":
-        tokens = np.concatenate(tokens)  # frees the chunks' outputs
-        emb, lstm_cache = lstm_forward(tokens, lengths, model.params, keep)
-    return emb, ((chunks, lstm_cache) if keep else None)
+            chunks.append((chunk_ids, runs, block_caches))
+    tokens = np.concatenate(tokens)  # frees the chunks' outputs
+    emb, pool_cache = pool(tokens, lengths, model.params, model.config.pooling, keep)
+    return emb, ((chunks, pool_cache) if keep else None)
 
 
 def encode(texts: list[str], model: EncoderModel, tape: list | None = None) -> np.ndarray:
@@ -505,33 +520,20 @@ def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
     for the pack that produced `cache`. It uses up the cache, dropping each
     chunk's activations once its gradients are in."""
     cfg = model.config
-    chunks, lstm_cache = cache
-    n = sum(bsz for _, runs, _, _ in chunks for _, bsz, _ in runs)
+    chunks, pool_cache = cache
+    n = sum(bsz for _, runs, _ in chunks for _, bsz, _ in runs)
     demb = np.asarray(demb, dtype=np.float64)
     if demb.shape != (n, cfg.output_dim):
         raise EncoderError(f"upstream gradient shape {demb.shape} != ({n}, {cfg.output_dim})")
-    if cfg.pooling == "lstm":  # each chunk's slice of the pack's token gradient
-        cuts = np.cumsum([runs[-1][0].stop for _, runs, _, _ in chunks])[:-1]
-        dtokens = np.split(lstm_backward(demb, lstm_cache, model.params, grads), cuts)
-    lo = 0
+    # each chunk's slice of the pack's token gradient
+    cuts = np.cumsum([runs[-1][0].stop for _, runs, _ in chunks])[:-1]
+    dtokens = np.split(pool_backward(demb, pool_cache, model.params, grads, cfg.pooling), cuts)
     while chunks:
-        ids, runs, block_caches, pool_caches = chunks.pop(0)
+        ids, runs, block_caches = chunks.pop(0)
         dy = np.zeros((len(ids), cfg.embed_dim))  # a lone row's copy gets none
-        if cfg.pooling == "lstm":
-            dy[: runs[-1][0].stop] = dtokens.pop(0)
-        for (rows, bsz, n), pool_cache in zip(runs, pool_caches):
-            drun, drows = dy[rows].reshape(bsz, n, -1), demb[lo : lo + bsz]
-            lo += bsz
-            if cfg.pooling == "cls":
-                drun[:, 0] = drows
-            elif cfg.pooling == "mean":
-                drun[...] = (drows / n)[:, None, :]
-            else:
-                np.put_along_axis(drun, pool_cache[:, None, :], drows[:, None, :], axis=1)
+        dy[: runs[-1][0].stop] = dtokens.pop(0)
         for b in range(cfg.num_blocks - 1, -1, -1):
-            dy = attention_block_backward(
-                dy, block_caches[b], model.params, grads, f"block{b}"
-            )
+            dy = attention_block_backward(dy, block_caches[b], model.params, grads, f"block{b}")
         np.add.at(grads["embed"], ids, dy)
 
 

@@ -206,6 +206,14 @@ class TestMineCommand:
             pytest.param({"min_count": 0}, [], "min_count 0", id="zero_min_count"),
             pytest.param({"filter_encoder": {"type": "precomputed"}}, [],
                          "precomputed filter encoder needs a path", id="precomputed_without_path"),
+            pytest.param({"filter_encoder": {"type": "precomputed", "path": "vectors.tsv",
+                                             "dimension": 4}}, [],
+                         "precomputed filter encoder reads no dimension, got 4",
+                         id="precomputed_small_dimension"),
+            pytest.param({"filter_encoder": {"type": "precomputed", "path": "vectors.tsv",
+                                             "dimension": 512}}, [],
+                         "precomputed filter encoder reads no dimension, got 512",
+                         id="precomputed_dimension"),
             pytest.param({"encoder": {"embed_dim": 0}}, [], "dimensions must be positive",
                          id="zero_embed_dim"),
             pytest.param({"encoder": {"num_blocks": -1}}, [], "num_blocks must be >= 0",
@@ -281,7 +289,9 @@ class TestMineCommand:
                 corpus_target=str(fixture_corpus / "target.txt"),
             )
         if other == "filter_encoder.path":
-            overrides["filter_encoder"] = {"type": "precomputed", "path": str(shared)}
+            overrides["filter_encoder"] = {
+                "type": "precomputed", "path": str(shared), "dimension": None
+            }
         elif other.startswith("eval."):
             overrides["eval"]["tasks"][0][other.rsplit(".", 1)[1]] = str(shared)
         else:
@@ -298,7 +308,8 @@ class TestMineCommand:
     def test_malformed_precomputed_file_exits_1(self, fixture_corpus, capsys):
         vectors = fixture_corpus / "vectors.tsv"
         config = write_config(
-            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+            fixture_corpus,
+            filter_encoder={"type": "precomputed", "path": str(vectors), "dimension": None},
         )
         for content in ("a sentence without a vector\n", "hello\t1 nan 3\n", "hello\t1 x 3\n"):
             vectors.write_text(content, encoding="utf-8")
@@ -312,7 +323,8 @@ class TestMineCommand:
         vectors = fixture_corpus / "vectors.tsv"
         vectors.write_text("hello world\t1 2 3\nhello   world\t4 5 6\n", encoding="utf-8")
         config = write_config(
-            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+            fixture_corpus,
+            filter_encoder={"type": "precomputed", "path": str(vectors), "dimension": None},
         )
         assert main(["mine", "--config", str(config)]) == 1
         err = capsys.readouterr().err
@@ -328,7 +340,8 @@ class TestMineCommand:
         sentences = sorted({side for row in rows for side in row.split("\t")})
         vectors.write_text("".join(f"{s}\t\n" for s in sentences), encoding="utf-8")
         config = write_config(
-            fixture_corpus, filter_encoder={"type": "precomputed", "path": str(vectors)}
+            fixture_corpus,
+            filter_encoder={"type": "precomputed", "path": str(vectors), "dimension": None},
         )
         assert main(["mine", "--config", str(config)]) == 1
         err = capsys.readouterr().err

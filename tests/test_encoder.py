@@ -27,6 +27,7 @@ from sentenc.encoder import (
     lstm_forward,
     param_shapes,
     pool,
+    pool_backward,
     save_model,
     tokenize,
 )
@@ -106,7 +107,7 @@ class TestEmbedTokens:
 class TestAttentionBlock:
     def test_singleton_attention_weight(self):
         model = tiny_model()
-        x = SeededRng(1).uniform(-1, 1, (1, 1, 8))
+        x = SeededRng(1).uniform(-1, 1, (1, 8))
         _, cache = attention_block_forward(x, [(slice(0, 1), 1, 1)], model.params, "block0")
         attn = cache[4][0]
         assert attn.shape == (1, 1, 1)
@@ -115,9 +116,9 @@ class TestAttentionBlock:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_output_length_preserved(self, n):
         model = tiny_model()
-        x = SeededRng(n).uniform(-1, 1, (1, n, 8))
+        x = SeededRng(n).uniform(-1, 1, (n, 8))
         out, _ = attention_block_forward(x, [(slice(0, n), 1, n)], model.params, "block0")
-        assert out.shape == (1, n, 8)
+        assert out.shape == (n, 8)
 
 
 class TestLayerNorm:
@@ -395,7 +396,7 @@ class TestBatchedEncoder:
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max", "lstm"])
     def test_padded_batch_gradient_is_sum_of_single_gradients(self, pooling):
         model = tiny_model(pooling=pooling, num_blocks=2)
-        texts = MIXED[:4]  # 4, 4, 12 and 2 tokens: three of them padded
+        texts = MIXED[:4]  # 4, 4, 12 and 2 tokens: a run of two, two alone
         upstream = SeededRng(8).uniform(-1, 1, (4, model.config.output_dim))
         batched = model.params.zeros_like()
         _backward(upstream, _forward(token_ids(texts, model), model)[1], model, batched)
@@ -428,7 +429,7 @@ class TestBatchedEncoder:
             # unless it is one sentence, and the chunks' runs cover the
             # pack's token rows once, in order
             covered = []
-            for chunk_ids, runs, _, _ in chunks:
+            for chunk_ids, runs, _ in chunks:
                 rows = sum(bsz * length for _, bsz, length in runs)
                 assert rows <= CHUNK_TOKENS or [bsz for _, bsz, _ in runs] == [1]
                 covered.extend(chunk_ids[:rows])
@@ -439,15 +440,17 @@ class TestBatchedEncoder:
     def test_lone_one_token_sentence_runs_as_two_rows(self):
         tape = []
         encode([""], tiny_model(), tape)
-        [(chunk_ids, runs, _, _)] = tape[0][1][0]
+        [(chunk_ids, runs, _)] = tape[0][1][0]
         assert chunk_ids.tolist() == [CLS_ID, CLS_ID] and runs == [(slice(0, 1), 1, 1)]
 
-    def test_encode_holds_one_pack_at_a_time(self):
-        # 1,000 ten-token sentences at the default sizes peak at 5.9 MB in
-        # packs of 128 and at 32 MB in one pack for the whole call
+    @pytest.mark.parametrize("pooling", ["lstm", "mean", "max"])
+    def test_encode_holds_one_pack_at_a_time(self, pooling):
+        # 1,000 ten-token sentences at the default sizes peak at 6.0 MB
+        # (lstm) or 5.5 MB (mean, max) in packs of 128, and at 32 MB (lstm)
+        # in one pack for the whole call
         texts = [" ".join(f"w{(7 * i + 3 * j) % 97}" for j in range(10)) for i in range(1000)]
         vocab = build_vocabulary(texts)
-        model = init_model(EncoderConfig(), vocab, SeededRng(0).substream("init"))
+        model = init_model(EncoderConfig(pooling=pooling), vocab, SeededRng(0).substream("init"))
         tracemalloc.start()
         try:
             encode(texts, model)
@@ -466,24 +469,68 @@ class TestBatchedEncoder:
 
 class TestPooling:
     def test_single_token_all_simple_pools_agree(self):
-        y = np.array([[[1.0, -2.0, 3.0]]])
+        y = np.array([[1.0, -2.0, 3.0]])
         for strategy in ("cls", "mean", "max"):
-            vec, _ = pool(y, strategy)
-            assert np.array_equal(vec, y[0])
+            vec, _ = pool(y, [1], {}, strategy)
+            assert np.array_equal(vec, y)
 
     def test_mean(self):
-        y = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        vec, _ = pool(y, "mean")
+        y = np.array([[1.0, 3.0], [3.0, 1.0]])
+        vec, _ = pool(y, [2], {}, "mean")
         assert vec.tolist() == [[2.0, 2.0]]
 
     def test_max(self):
-        y = np.array([[[1.0, 3.0], [3.0, 1.0]]])
-        vec, _ = pool(y, "max")
+        y = np.array([[1.0, 3.0], [3.0, 1.0]])
+        vec, _ = pool(y, [2], {}, "max")
         assert vec.tolist() == [[3.0, 3.0]]
 
     def test_unknown_strategy(self):
         with pytest.raises(EncoderError):
-            pool(np.ones((1, 2, 2)), "median")
+            pool(np.ones((2, 2)), [2], {}, "median")
+
+    @staticmethod
+    def ragged_pack():
+        """A length-sorted pack's flat token rows at num_blocks 0, where each
+        row is its token's embedding row, so a repeated token ties exactly;
+        returns (rows, lengths, each sentence's first row)."""
+        model = tiny_model(num_blocks=0)
+        texts = ["cat", "cat cat", "dog cat", "cat cat dog", "the cat cat sat", "cat dog cat"]
+        ids = sorted(token_ids(texts, model), key=len)
+        lengths = [len(row) for row in ids]
+        tokens = embed_tokens(np.concatenate(ids), model.params["embed"])
+        return tokens, lengths, np.cumsum(lengths) - lengths
+
+    @pytest.mark.parametrize("strategy", ["cls", "mean", "max"])
+    def test_pack_bit_equals_per_sentence_reference(self, strategy):
+        tokens, lengths, starts = self.ragged_pack()
+        reduce = {
+            "cls": lambda r: r[0],
+            "mean": lambda r: r.sum(axis=0) / len(r),
+            "max": lambda r: r.max(axis=0),
+        }[strategy]
+        want = [reduce(tokens[lo : lo + n]) for lo, n in zip(starts, lengths)]
+        assert np.array_equal(pool(tokens, lengths, {}, strategy)[0], np.array(want))
+
+    @pytest.mark.parametrize("strategy", ["cls", "mean", "max"])
+    def test_backward_routes_each_gradient(self, strategy):
+        tokens, lengths, starts = self.ragged_pack()
+        demb = SeededRng(2).uniform(-1, 1, (len(lengths), tokens.shape[1]))
+        _, cache = pool(tokens, lengths, {}, strategy, keep=True)
+        want = np.zeros_like(tokens)
+        ties = 0
+        for b, (lo, n) in enumerate(zip(starts, lengths)):
+            if strategy == "cls":
+                want[lo] = demb[b]
+            elif strategy == "mean":
+                want[lo : lo + n] = demb[b] / n
+            else:  # each dimension's gradient goes to its first maximal row
+                for j in range(tokens.shape[1]):
+                    col = tokens[lo : lo + n, j]
+                    tied = np.flatnonzero(col == col.max())
+                    ties += len(tied) > 1
+                    want[lo + tied[0], j] = demb[b, j]
+        assert np.array_equal(pool_backward(demb, cache, {}, {}, strategy), want)
+        assert strategy != "max" or ties > 0
 
 
 class TestEncode:

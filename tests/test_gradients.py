@@ -140,7 +140,7 @@ class TestFullLossGradient:
         tape = []
         encode(texts, model, tape)
         [(_, (chunks, _))] = tape
-        runs = [[(bsz, n) for _, bsz, n in runs] for _, runs, _, _ in chunks]
+        runs = [[(bsz, n) for _, bsz, n in runs] for _, runs, _ in chunks]
         if chunk_tokens == 1:
             assert runs == [[(1, 1)], [(1, 4)], [(1, 4)], [(1, 4)]]
             assert len(chunks[0][0]) == 2
