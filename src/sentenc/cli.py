@@ -82,8 +82,9 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
-    reject_overwrite({"--output": output_path}, {"--input": input_path, **config.named_paths()})
+def cmd_encode(config: RunConfig, config_path: str, input_path: str, output_path: str) -> int:
+    named = {"--config": config_path, "--input": input_path, **config.named_paths()}
+    reject_overwrite({"--output": output_path}, named)
     model = load_model(config.paths.checkpoint)
     with open_input(input_path, "input file") as handle:
         # only "\n" ends a line: str.splitlines would also break at form
@@ -101,6 +102,8 @@ def cmd_encode(config: RunConfig, input_path: str, output_path: str) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    if not config.eval.tasks:
+        raise ConfigError("config must set at least one task in eval.tasks")
     model = load_model(config.paths.checkpoint)
     seed = _derive_seed(config.seed, "probe")
     rows = []
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(config)
         if args.command == "encode":
-            return cmd_encode(config, args.input, args.output)
+            return cmd_encode(config, args.config, args.input, args.output)
         return cmd_eval(config)
     except SentencError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -31,19 +31,11 @@ class FilterEncoderConfig:
     path: str | None = None  # precomputed only
 
     def __post_init__(self):
-        if self.type == "precomputed":
-            if not self.path:
-                raise ConfigError("precomputed filter encoder needs a path")
-            if self.dimension is not None:
-                raise ConfigError(
-                    f"precomputed filter encoder reads no dimension, got {self.dimension!r}"
-                )
-            return
-        if self.path is not None:
-            raise ConfigError(f"hashed_ngram filter encoder reads no path, got {self.path!r}")
-        if self.dimension is None:
+        if self.type == "precomputed" and not self.path:
+            raise ConfigError("precomputed filter encoder needs a path")
+        if self.type == "hashed_ngram" and self.dimension is None:
             self.dimension = 512
-        if self.dimension < MIN_FILTER_DIMENSION:
+        if self.type == "hashed_ngram" and self.dimension < MIN_FILTER_DIMENSION:
             raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
 
 
@@ -92,13 +84,11 @@ class PathsConfig:
 
     def __post_init__(self):
         moses = (self.corpus_source, self.corpus_target)
-        if self.corpus_tsv and any(moses):
-            raise ValueError("set either corpus_tsv or the Moses paths, not both")
         if any(moses) and not all(moses):
             raise ValueError("corpus_source and corpus_target must be set together")
 
 
-# the files the commands write; none may be another file the config names
+# the files the commands write; none may be the config file or another file it names
 OUTPUT_KEYS = ("paths.pairs", "paths.checkpoint", "paths.loss_csv", "paths.eval_report")
 
 
@@ -123,8 +113,6 @@ class RunConfig:
                 "encoder.pooling 'cls' needs encoder.num_blocks >= 1: without "
                 "attention every sentence encodes to the <cls> embedding"
             )
-        named = self.named_paths()
-        reject_overwrite({key: named[key] for key in OUTPUT_KEYS}, named)
 
     def named_paths(self) -> dict[str, str]:
         """Every file path the config sets, keyed by its config key."""
@@ -148,6 +136,18 @@ def reject_overwrite(outputs: dict[str, str], named: dict[str, str]) -> None:
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+# Keys a section reads only under some setting of another of its keys: each
+# names that key and a test of its value under which the first goes unread.
+# Setting such a key anyway is a config error, not a knob silently ignored.
+_UNREAD_WHEN = {
+    "filter_encoder.dimension": ("type", lambda v: v == "precomputed"),
+    "filter_encoder.path": ("type", lambda v: v == "hashed_ngram"),
+    "paths.corpus_source": ("corpus_tsv", bool),
+    "paths.corpus_target": ("corpus_tsv", bool),
+    "encoder.lstm_hidden": ("pooling", lambda v: v != "lstm"),
+    "encoder.ffn_dim": ("num_blocks", lambda v: v == 0),
+}
 
 
 def _checked(hint, value, key: str):
@@ -178,9 +178,9 @@ def _checked(hint, value, key: str):
 
 
 def _build(cls, data, context: str):
-    """An instance of dataclass `cls` from a JSON object. Keys are the fields
-    of `cls`, each value is checked against its type hint (see _checked), and
-    every field without a default must be present."""
+    """An instance of dataclass `cls` from a JSON object: its keys are fields
+    of `cls`, each value has its field's type hint (see _checked), every field
+    without a default is present, and no key is left unread (_UNREAD_WHEN)."""
     where = context or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -200,21 +200,42 @@ def _build(cls, data, context: str):
         for name, value in data.items()
     }
     try:
-        return cls(**kwargs)
+        section = cls(**kwargs)
     except (ValueError, SentencError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    for name, value in data.items():
+        setting, unread = _UNREAD_WHEN.get(f"{context}.{name}", ("", None))
+        if value is not None and unread and unread(now := getattr(section, setting)):
+            raise ConfigError(f"{context}.{name} {value!r} is not read when "
+                              f"{context}.{setting} is {now!r}")
+    return section
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict. json.load would keep only the last value of
+    a repeated key, so a repeat is a ConfigError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc
 
 
 def load_run_config(path: str | os.PathLike, seed: int | None = None) -> RunConfig:
     """Read and check a run configuration. `seed`, when given, replaces the
-    document's master seed before any value is checked."""
+    document's master seed before any value is checked. No output path may
+    resolve to the config file itself or to any other file the config names."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if seed is not None and isinstance(doc, dict):
         doc = {**doc, "seed": seed}
-    return _build(RunConfig, doc, "")
+    config = _build(RunConfig, doc, "")
+    named = {"--config": path, **config.named_paths()}
+    reject_overwrite({key: named[key] for key in OUTPUT_KEYS}, named)
+    return config

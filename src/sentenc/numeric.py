@@ -26,18 +26,21 @@ def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
     """(x / norms, norms) over the rows of a 2-d array; the one place a vector
     is divided by its norm. A row whose square norm is not a normal float is
     first divided by its max-abs entry, and its true norm is returned. An
-    all-zero row raises NumericError; `x` itself is never written."""
+    all-zero row raises NumericError; `x` itself is never written. Overflow
+    of a square norm is expected and handled, so it never warns or raises,
+    even under an np.errstate that raises on overflow."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    if _SQRT_TINY <= norms.min(initial=math.inf) and norms.max(initial=0.0) < math.inf:
-        return x / norms[:, None], norms
-    odd = ~((norms >= _SQRT_TINY) & (norms < math.inf))
-    scale = np.where(odd, np.max(np.abs(x), axis=1, initial=0.0), 1.0)
-    if not scale.all():
-        raise NumericError("zero-norm vector")
-    x = x / scale[:, None]
-    norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None], scale * norms
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+        if _SQRT_TINY <= norms.min(initial=math.inf) and norms.max(initial=0.0) < math.inf:
+            return x / norms[:, None], norms
+        odd = ~((norms >= _SQRT_TINY) & (norms < math.inf))
+        scale = np.where(odd, np.max(np.abs(x), axis=1, initial=0.0), 1.0)
+        if not scale.all():
+            raise NumericError("zero-norm vector")
+        x = x / scale[:, None]
+        norms = np.linalg.norm(x, axis=1)
+        return x / norms[:, None], scale * norms
 
 
 def cosine_similarity(x, y) -> float | np.ndarray:

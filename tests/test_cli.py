@@ -13,7 +13,10 @@ import pytest
 
 import sentenc.encoder
 from sentenc.cli import main
+from sentenc.config import load_run_config
 from sentenc.corpus import read_pairs
+from sentenc.encoder import param_shapes
+from sentenc.errors import ConfigError
 
 
 def write_config(tmp_path, **overrides):
@@ -75,6 +78,24 @@ _TASK = {
 _CLS_WITHOUT_BLOCKS = {"encoder": {"pooling": "cls", "num_blocks": 0}}
 _TSV_AND_MOSES = {"paths": {"corpus_source": "s.txt", "corpus_target": "t.txt"}}
 _ONE_MOSES_PATH = {"paths": {"corpus_tsv": None, "corpus_source": "s.txt"}}
+_PRECOMPUTED = {"type": "precomputed", "path": "vectors.tsv"}
+
+# the line a key gets that its section leaves unread; write_config's encoder
+# sets ffn_dim 16 and lstm_hidden 12, which _CLS_WITHOUT_BLOCKS leaves unread
+_FFN_DIM_UNREAD = "encoder.ffn_dim 16 is not read when encoder.num_blocks is 0"
+_MOSES_UNREAD = "paths.corpus_source 's.txt' is not read when paths.corpus_tsv is "
+_HASHED_NGRAM_PATH_UNREAD = (
+    "filter_encoder.path 'vectors.tsv' is not read when filter_encoder.type is 'hashed_ngram'"
+)
+
+
+def _dimension_unread(dimension):
+    return (f"filter_encoder.dimension {dimension} is not read when "
+            "filter_encoder.type is 'precomputed'")
+
+
+def _lstm_hidden_unread(pooling):
+    return f"encoder.lstm_hidden 12 is not read when encoder.pooling is '{pooling}'"
 
 
 class TestMineCommand:
@@ -162,7 +183,7 @@ class TestMineCommand:
             pytest.param({"filter_encoder": {"dimension": 4}}, [], "dimension 4",
                          id="small_dimension"),
             pytest.param({"filter_encoder": {"path": "vectors.tsv"}}, [],
-                         "hashed_ngram filter encoder reads no path", id="hashed_ngram_path"),
+                         _HASHED_NGRAM_PATH_UNREAD, id="hashed_ngram_path"),
             pytest.param({"eval": {"hidden": 0}}, [], "hidden 0", id="zero_hidden"),
             pytest.param({"eval": {"lambda_grid": ["a"]}}, [], "eval.lambda_grid[0] 'a'",
                          id="string_lambda"),
@@ -181,11 +202,8 @@ class TestMineCommand:
                          "eval.lambda_grid[0] inf", id="infinite_lambda"),
             pytest.param({"training": {"weight_decay": -1.0}}, [], "weight_decay -1.0",
                          id="negative_weight_decay"),
-            pytest.param(_CLS_WITHOUT_BLOCKS, [],
-                         "encoder.pooling 'cls' needs encoder.num_blocks >= 1",
-                         id="cls_without_blocks"),
-            pytest.param(_TSV_AND_MOSES, [], "set either corpus_tsv or the Moses paths",
-                         id="tsv_and_moses"),
+            pytest.param(_CLS_WITHOUT_BLOCKS, [], _FFN_DIM_UNREAD, id="cls_without_blocks"),
+            pytest.param(_TSV_AND_MOSES, [], _MOSES_UNREAD, id="tsv_and_moses"),
             pytest.param(_ONE_MOSES_PATH, [],
                          "corpus_source and corpus_target must be set together",
                          id="one_moses_path"),
@@ -206,14 +224,10 @@ class TestMineCommand:
             pytest.param({"min_count": 0}, [], "min_count 0", id="zero_min_count"),
             pytest.param({"filter_encoder": {"type": "precomputed"}}, [],
                          "precomputed filter encoder needs a path", id="precomputed_without_path"),
-            pytest.param({"filter_encoder": {"type": "precomputed", "path": "vectors.tsv",
-                                             "dimension": 4}}, [],
-                         "precomputed filter encoder reads no dimension, got 4",
-                         id="precomputed_small_dimension"),
-            pytest.param({"filter_encoder": {"type": "precomputed", "path": "vectors.tsv",
-                                             "dimension": 512}}, [],
-                         "precomputed filter encoder reads no dimension, got 512",
-                         id="precomputed_dimension"),
+            pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 4}}, [],
+                         _dimension_unread(4), id="precomputed_small_dimension"),
+            pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 512}}, [],
+                         _dimension_unread(512), id="precomputed_dimension"),
             pytest.param({"encoder": {"embed_dim": 0}}, [], "dimensions must be positive",
                          id="zero_embed_dim"),
             pytest.param({"encoder": {"num_blocks": -1}}, [], "num_blocks must be >= 0",
@@ -245,6 +259,10 @@ class TestMineCommand:
             pytest.param(None, "cannot read config", id="missing_file"),
             pytest.param("{", "is not valid JSON", id="invalid_json"),
             pytest.param("[]", "top level: expected an object", id="top_level_array"),
+            pytest.param('{"training": {"epochs": 1}, "training": {"epochs": 0}}',
+                         "key 'training' is repeated", id="repeated_top_level_key"),
+            pytest.param('{"training": {"epochs": 1, "epochs": 0}}', "key 'epochs' is repeated",
+                         id="repeated_nested_key"),
         ],
     )
     def test_unloadable_config_exits_2(self, tmp_path, capsys, content, named):
@@ -270,6 +288,7 @@ class TestMineCommand:
             ("paths.loss_csv", "eval.tasks[0].train"),
             ("paths.eval_report", "eval.tasks[0].validation"),
             ("paths.checkpoint", "eval.tasks[0].test"),
+            ("paths.pairs", "--config"),
         ],
     )
     def test_colliding_paths_exit_2(self, fixture_corpus, capsys, output, other):
@@ -294,15 +313,18 @@ class TestMineCommand:
             }
         elif other.startswith("eval."):
             overrides["eval"]["tasks"][0][other.rsplit(".", 1)[1]] = str(shared)
-        else:
+        elif other != "--config":
             overrides["paths"][other.split(".")[1]] = str(shared)
-        overrides["paths"][output.split(".")[1]] = str(fixture_corpus / "sub" / ".." / "shared.tsv")
+        target = "config.json" if other == "--config" else "shared.tsv"
+        overrides["paths"][output.split(".")[1]] = str(fixture_corpus / "sub" / ".." / target)
         config = write_config(fixture_corpus, **overrides)
+        written = config.read_bytes()
         assert main(["mine", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"{output} and {other} name the same file" in err
         assert shared.read_bytes() == (fixture_corpus / "corpus.tsv").read_bytes()
+        assert config.read_bytes() == written
         assert not (fixture_corpus / "pairs.tsv").exists()
 
     def test_malformed_precomputed_file_exits_1(self, fixture_corpus, capsys):
@@ -334,6 +356,32 @@ class TestMineCommand:
         assert not (fixture_corpus / "pairs.tsv").exists()
 
 
+    def test_overflowing_precomputed_rows_mine_quietly(self, fixture_corpus):
+        """Rows whose square norm overflows float64 mine to the same pairs as
+        the same directions at unit scale, with nothing on stderr."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        vectors = fixture_corpus / "vectors.tsv"
+        config = write_config(
+            fixture_corpus,
+            filter_encoder={"type": "precomputed", "path": str(vectors), "dimension": None},
+        )
+        runs = []
+        for scale in (1e200, 1.0):
+            # targets of source 2 point away from their source and are filtered
+            rows = [f"source sentence {s}\t{3 * scale!r} {-4 * scale!r}" for s in range(3)]
+            rows += [f"target {s} variant {t}\t{'-3 4' if s == 2 else '3 -4'}"
+                     for s in range(3) for t in range(4)]
+            vectors.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, "-m", "sentenc.cli", "mine", "--config", str(config)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stderr == ""
+            runs.append((proc.stdout, (fixture_corpus / "pairs.tsv").read_bytes()))
+        assert "filtered survivors: 8" in runs[0][0]
+        assert runs[0] == runs[1]
+
     def test_empty_precomputed_vector_exits_1(self, fixture_corpus, capsys):
         vectors = fixture_corpus / "vectors.tsv"
         rows = (fixture_corpus / "corpus.tsv").read_text(encoding="utf-8").splitlines()
@@ -348,6 +396,74 @@ class TestMineCommand:
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert "vectors.tsv:1: empty vector" in err
         assert not (fixture_corpus / "pairs.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        pytest.param({"encoder": {"pooling": "mean"}}, _lstm_hidden_unread("mean"),
+                     id="lstm_hidden_under_mean"),
+        pytest.param({"encoder": {"pooling": "cls"}}, _lstm_hidden_unread("cls"),
+                     id="lstm_hidden_under_cls"),
+        pytest.param({"encoder": {"pooling": "max"}}, _lstm_hidden_unread("max"),
+                     id="lstm_hidden_under_max"),
+        pytest.param({"encoder": {"num_blocks": 0}}, _FFN_DIM_UNREAD, id="ffn_dim_without_blocks"),
+        pytest.param(_CLS_WITHOUT_BLOCKS, _FFN_DIM_UNREAD, id="cls_without_blocks"),
+        pytest.param({"filter_encoder": {"path": "vectors.tsv"}}, _HASHED_NGRAM_PATH_UNREAD,
+                     id="hashed_ngram_path"),
+        pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 4}}, _dimension_unread(4),
+                     id="precomputed_small_dimension"),
+        pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 512}},
+                     _dimension_unread(512), id="precomputed_dimension"),
+        pytest.param(_TSV_AND_MOSES, _MOSES_UNREAD, id="tsv_and_moses"),
+    ],
+)
+def test_unread_key_exits_2_for_every_command(fixture_corpus, capsys, command, override, named):
+    config = write_config(fixture_corpus, **override)
+    argv = [command, "--config", str(config)]
+    if command == "encode":
+        (fixture_corpus / "input.txt").write_text("target 0 variant 1\n", encoding="utf-8")
+        argv += ["--input", str(fixture_corpus / "input.txt"),
+                 "--output", str(fixture_corpus / "emb.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
+    assert sorted(p.name for p in fixture_corpus.iterdir()) == sorted(
+        ["config.json", "corpus.tsv"] + ["input.txt"] * (command == "encode")
+    )
+
+
+_BLOCKS = [("cls", 1), ("mean", 0), ("mean", 1), ("max", 0), ("max", 1), ("lstm", 0), ("lstm", 1)]
+
+
+@pytest.mark.parametrize("key, value", [("embed_dim", 24), ("ffn_dim", 40), ("lstm_hidden", 20)])
+@pytest.mark.parametrize("pooling, num_blocks", _BLOCKS)
+def test_no_encoder_knob_is_accepted_and_ignored(tmp_path, pooling, num_blocks, key, value):
+    """A non-default encoder value either changes the model's shapes or is
+    refused at load; it is never stored and then ignored."""
+
+    def shapes(**extra):
+        path = tmp_path / "config.json"
+        encoder = {"pooling": pooling, "num_blocks": num_blocks, **extra}
+        path.write_text(json.dumps({"encoder": encoder}), encoding="utf-8")
+        config = load_run_config(path).encoder
+        return param_shapes(config, 10), config.output_dim
+
+    default = shapes()
+    try:
+        changed = shapes(**{key: value})
+    except ConfigError:
+        return
+    assert changed != default
+
+
+def test_cls_without_blocks_is_refused_at_load(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"encoder": {"pooling": "cls", "num_blocks": 0}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"encoder.pooling 'cls' needs encoder.num_blocks >= 1"):
+        load_run_config(path)
 
 
 SYNTHETIC_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
@@ -549,7 +665,7 @@ class TestEncodeCommand:
     @pytest.mark.parametrize(
         "key, name",
         [("--input", "input.txt"), ("paths.checkpoint", "model.json"),
-         ("paths.corpus_tsv", "corpus.tsv")],
+         ("paths.corpus_tsv", "corpus.tsv"), ("--config", "config.json")],
     )
     def test_output_over_a_named_file_exits_2(self, fixture_corpus, trained, capsys, key, name):
         inp = fixture_corpus / "input.txt"
@@ -663,7 +779,8 @@ class TestBadCheckpoint:
         ],
     )
     def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt):
-        config = write_config(fixture_corpus)
+        # the task's files are never read: the corrupt checkpoint fails first
+        config = write_config(fixture_corpus, eval={"tasks": [_TASK]})
         assert main(["mine", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
         checkpoint = fixture_corpus / "model.json"
@@ -706,6 +823,14 @@ class TestEvalCommand:
             "validation": str(tmp_path / f"{name}.validation.tsv"),
             "test": str(tmp_path / f"{name}.test.tsv"),
         }
+
+    def test_no_tasks_exits_2_before_reading_a_file(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus)  # no checkpoint either: none is read
+        assert main(["eval", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "config must set at least one task in eval.tasks" in err
+        assert not (fixture_corpus / "results.csv").exists()
 
     def test_two_tasks_ordered_rows_and_metrics(self, fixture_corpus):
         t1 = self._write_task(fixture_corpus, "taskA", "classification")

@@ -152,8 +152,7 @@ class TestUnitRows:
     )
     def test_odd_rows_come_out_unit_with_true_norm(self, row, norm):
         x = np.array([[1.0, 2.0], row])
-        with np.errstate(over="ignore"):
-            unit, norms = unit_rows(x)
+        unit, norms = unit_rows(x)
         assert np.array_equal(unit[0], x[0] / np.linalg.norm(x[0]))
         assert norms[1] == pytest.approx(norm, rel=1e-15)
         if math.isfinite(norm):
