@@ -83,8 +83,9 @@ class PathsConfig:
     eval_report: str = "results.csv"
 
     def __post_init__(self):
+        # beside corpus_tsv a Moses path is an unread key (_UNREAD_WHEN)
         moses = (self.corpus_source, self.corpus_target)
-        if any(moses) and not all(moses):
+        if not self.corpus_tsv and any(moses) and not all(moses):
             raise ValueError("corpus_source and corpus_target must be set together")
 
 

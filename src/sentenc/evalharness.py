@@ -207,20 +207,17 @@ def evaluate(
     of the probe trained with it: the grid value whose probe, trained on the
     train split, scores best on validation wins, and ties break toward the
     earlier value. The encoder is frozen throughout."""
-    feats = {
-        name: featurize(split, model)
-        for name, split in (
-            ("train", task.train),
-            ("validation", task.validation),
-            ("test", task.test),
-        )
-    }
+    # one featurize call, so the splits share the encoder's packs
+    train, validation, test = np.split(
+        featurize(task.train + task.validation + task.test, model),
+        np.cumsum([len(task.train), len(task.validation)]),
+    )
     train_labels = [r.label for r in task.train]
     probe, best_score = None, -np.inf
     for l2 in lambda_grid:
-        candidate = train_probe(feats["train"], train_labels, task.kind, hidden, l2, seed)
+        candidate = train_probe(train, train_labels, task.kind, hidden, l2, seed)
         try:
-            score = _score(candidate, feats["validation"], task.validation)
+            score = _score(candidate, validation, task.validation)
         except EvalError:  # e.g. constant predictions under extreme l2
             score = -np.inf
         if score > best_score:
@@ -230,6 +227,6 @@ def evaluate(
             f"task {task.name}: no lambda in the grid gave a validation score "
             "(constant validation labels or predictions)"
         )
-    value = _score(probe, feats["test"], task.test)
+    value = _score(probe, test, task.test)
     metric = "accuracy" if task.kind == "classification" else "spearman"
     return EvalResult(task.name, metric, value, probe.l2)

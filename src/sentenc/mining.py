@@ -16,11 +16,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .corpus import AlignedPair, ParaphrasePair, normalize, numbered_rows
-from .errors import MiningError, NumericError
+from .errors import MiningError
 from .numeric import SeededRng, cosine_similarity
 
 
-# text -> fixed-dimension vector; deterministic, nonzero norm for nonempty text
+# text -> vector, deterministic; for every text either a nonzero vector of
+# the encoder's one width or MiningError (empty text, no stored vector, an
+# all-zero stored vector). Anything else it does is a bug and propagates.
 FilterEncoder = Callable[[str], np.ndarray]
 
 # Fewest hash buckets the n-gram filter encoder accepts; also checked at config load
@@ -114,7 +116,8 @@ def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
 def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
     """Exact-lookup encoder over a TSV of `sentence<TAB>v1 v2 ... vD`; every
     vector must be finite and of one dimension, and two rows whose sentences
-    normalise alike must repeat one vector."""
+    normalise alike must repeat one vector. An all-zero row loads, but
+    looking it up raises MiningError, as looking up an absent sentence does."""
     table: dict[str, tuple[str, np.ndarray]] = {}
     dim: int | None = None
     for where, (sentence, values) in numbered_rows(path, "embedding file", 2):
@@ -138,7 +141,10 @@ def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
         key = normalize(text)
         if key not in table:
             raise MiningError(f"no precomputed embedding for {key!r}")
-        return table[key][1]
+        where, vec = table[key]
+        if not vec.any():
+            raise MiningError(f"{where}: all-zero embedding for {key!r}")
+        return vec
 
     return encode
 
@@ -154,11 +160,10 @@ def filter_pairs(
 
     Pairs are taken FILTER_CHUNK at a time: both sides of each are encoded,
     then one `cosine_similarity` call over the chunk's two row blocks scores
-    them all, so every vector must have the one width FilterEncoder promises.
-    Encoder failures on noisy lines (MiningError or NumericError from the
-    encoder, a vector whose shape is not its partner's, or an all-zero
-    vector) are skipped and tallied per pair, not fatal; any other exception
-    is a bug and propagates.
+    them all. A MiningError from the encoder (a noisy line) skips the pair
+    and is tallied, not fatal. Anything else breaks the FilterEncoder
+    contract and propagates: any other exception, and a vector whose width
+    differs from another's, within a pair or across pairs.
     """
     stats = MiningStats() if stats is None else stats
     pairs = iter(pairs)
@@ -167,22 +172,13 @@ def filter_pairs(
         encoded = []
         for pair in chunk:
             try:
-                x, y = enc(pair.source), enc(pair.target)
-            except (MiningError, NumericError):
-                stats.encoder_failures += 1
-                continue
-            if np.ndim(x) == 1 and np.shape(x) == np.shape(y):
-                encoded.append((pair, x, y))
-            else:
+                encoded.append((pair, enc(pair.source), enc(pair.target)))
+            except MiningError:
                 stats.encoder_failures += 1
         if not encoded:
             continue
         kept, xs, ys = zip(*encoded)
-        xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
-        nonzero = xs.any(axis=1) & ys.any(axis=1)
-        stats.encoder_failures += len(kept) - int(nonzero.sum())
-        sims = cosine_similarity(xs[nonzero], ys[nonzero])
-        for pair, sim in zip(itertools.compress(kept, nonzero), sims):
+        for pair, sim in zip(kept, cosine_similarity(np.array(xs), np.array(ys))):
             if sim >= threshold:
                 stats.kept_pairs += 1
                 yield pair

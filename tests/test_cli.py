@@ -417,6 +417,8 @@ class TestMineCommand:
         pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 512}},
                      _dimension_unread(512), id="precomputed_dimension"),
         pytest.param(_TSV_AND_MOSES, _MOSES_UNREAD, id="tsv_and_moses"),
+        pytest.param({"paths": {"corpus_source": "s.txt"}}, _MOSES_UNREAD,
+                     id="tsv_and_one_moses_path"),
     ],
 )
 def test_unread_key_exits_2_for_every_command(fixture_corpus, capsys, command, override, named):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentenc import evalharness
 from sentenc.corpus import EvalRecord
 from sentenc.encoder import EncoderConfig, build_vocabulary, init_model
 from sentenc.evalharness import (
@@ -245,6 +246,23 @@ class TestEvaluate:
         direct = accuracy(predict(probe, feats_test), [r.label for r in task.test])
         assert r1.value == direct
         assert r1.l2 == 1e-3
+
+    @pytest.mark.parametrize("arity", ["single", "pair"])
+    def test_one_encode_call_per_evaluate(self, arity, monkeypatch):
+        model = small_encoder(seed=11)
+        task = coordinate_task(model)
+        if arity == "pair":
+            def paired(records):
+                return [EvalRecord(r.label, (r.sentences[0], "word1 word2")) for r in records]
+
+            task = EvalTask(task.name, task.kind, paired(task.train),
+                            paired(task.validation), paired(task.test))
+        calls, encode = [], evalharness.encode
+        monkeypatch.setattr(evalharness, "encode",
+                            lambda texts, model: calls.append(len(texts)) or encode(texts, model))
+        evaluate(model, task, lambda_grid=[1e-3, 1e-2], seed=3)
+        records = len(task.train) + len(task.validation) + len(task.test)
+        assert calls == [records * (2 if arity == "pair" else 1)]
 
     def test_encoder_frozen_through_evaluate(self):
         model = small_encoder(seed=11)

@@ -96,6 +96,14 @@ class TestPrecomputedEncoder:
         with pytest.raises(MiningError):
             enc("missing")
 
+    def test_all_zero_row_loads_and_lookup_raises(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("hello\t1 2 3\nnull  vector\t0 -0 0.0\n", encoding="utf-8")
+        enc = precomputed_encoder(p)
+        assert enc("hello").tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(MiningError, match=r"emb\.tsv:2: all-zero embedding for 'null vector'"):
+            enc("null vector")
+
     def test_inconsistent_dimensions(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("a\t1 2 3\nb\t1 2 3 4\n", encoding="utf-8")
@@ -168,10 +176,14 @@ class TestFilterPairs:
         def buggy(text):
             return {}["missing"]
 
-        stats = MiningStats()
-        with pytest.raises(KeyError):
-            list(filter_pairs([AlignedPair("a", "b")], buggy, 0.0, stats))
-        assert stats.encoder_failures == 0
+        def numeric(text):
+            raise NumericError("not a MiningError")
+
+        for enc, error in [(buggy, KeyError), (numeric, NumericError)]:
+            stats = MiningStats()
+            with pytest.raises(error):
+                list(filter_pairs([AlignedPair("a", "b")], enc, 0.0, stats))
+            assert stats.encoder_failures == 0
 
 
 def reference_filter(pairs, enc, threshold, stats):
@@ -264,12 +276,15 @@ class TestChunkedFilter:
         assert len(pairs) > 2 * FILTER_CHUNK and kept
 
     def test_mixed_widths_across_pairs_are_a_bug(self):
-        # a FilterEncoder gives one width for every text
+        # a FilterEncoder gives one width for every text, within a pair too
         def enc(text):
             return np.ones(len(text))
 
-        with pytest.raises(ValueError):
-            list(filter_pairs([AlignedPair("ab", "cd"), AlignedPair("abc", "def")], enc, 0.0))
+        for pairs in [[AlignedPair("ab", "cd"), AlignedPair("abc", "def")], [AlignedPair("ab", "cde")]]:
+            stats = MiningStats()
+            with pytest.raises(ValueError):
+                list(filter_pairs(pairs, enc, 0.0, stats))
+            assert stats.encoder_failures == 0
 
 
 class TestGroupBySource:
