@@ -10,7 +10,8 @@ Formats:
 
 All text is normalized at ingestion (trim, collapse internal whitespace,
 case preserved) because downstream grouping relies on exact string equality.
-Readers are forward-only iterators so corpora larger than memory can be mined.
+Readers are forward-only iterators, so reading holds one line at a time;
+mining itself holds the strings of every distinct aligned line.
 """
 
 from __future__ import annotations

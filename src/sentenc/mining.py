@@ -1,8 +1,9 @@
 """Paraphrase extraction from a sentence-aligned bilingual corpus.
 
-Stages: similarity-filter aligned pairs, group target sentences by shared
-source sentence, then generate pairs within each group so that every target
-sentence appears in at least one pair.
+Stages: group the aligned lines by source sentence, similarity-filter each
+group (each source and each distinct aligned pair is encoded once, however
+often its line repeats), then generate pairs within each group so that every
+kept target sentence appears in at least one pair.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,8 +30,9 @@ FilterEncoder = Callable[[str], np.ndarray]
 # Fewest hash buckets the n-gram filter encoder accepts; also checked at config load
 MIN_FILTER_DIMENSION = 16
 
-# Aligned pairs per `filter_pairs` chunk: enough to spread one cosine call
-# over many pairs, few enough that the chunk's vectors stay well under 1 MB
+# Distinct aligned pairs per `filter_groups` cosine call: enough to spread
+# one call over many pairs, few enough that the chunk's vectors stay well
+# under 1 MB
 FILTER_CHUNK = 64
 
 
@@ -92,7 +95,7 @@ class _BucketMemo(dict):
 
 def hashed_ngram_encoder(dimension: int) -> FilterEncoder:
     """Counts of character 3-grams hashed into `dimension` buckets; the cosine
-    in `filter_pairs` normalises them.
+    in `filter_groups` normalises them.
 
     A desk-scale stand-in for a pretrained multilingual filter model: cheap,
     deterministic, and similarity-preserving for surface-close sentences.
@@ -149,48 +152,65 @@ def precomputed_encoder(path: str | os.PathLike) -> FilterEncoder:
     return encode
 
 
-def filter_pairs(
+def filter_groups(
     pairs: Iterable[AlignedPair],
     enc: FilterEncoder,
     threshold: float,
     stats: MiningStats | None = None,
-) -> Iterator[AlignedPair]:
-    """Keep pairs whose cross-lingual embedding cosine is >= threshold, in
-    input order.
+) -> dict[str, list[str]]:
+    """Each source's targets whose cross-lingual embedding cosine with it is
+    >= threshold: source -> its distinct kept targets in first-seen order,
+    sources in the order of their first kept line.
 
-    Pairs are taken FILTER_CHUNK at a time: both sides of each are encoded,
-    then one `cosine_similarity` call over the chunk's two row blocks scores
-    them all. A MiningError from the encoder (a noisy line) skips the pair
-    and is tallied, not fatal. Anything else breaks the FilterEncoder
-    contract and propagates: any other exception, and a vector whose width
-    differs from another's, within a pair or across pairs.
+    The corpus is read once into `source -> {target: first line}`, and a
+    repeated line only adds to a count. Each source is encoded once,
+    then each of its distinct targets, and one `cosine_similarity` call
+    scores FILTER_CHUNK such pairs. A MiningError from the encoder (a noisy
+    line) is tallied per line, not fatal: a failing source fails every line
+    of its group without its targets being encoded. Anything else breaks
+    the FilterEncoder contract and propagates: any other exception, and a
+    vector whose width differs from another's, within a pair or across pairs.
     """
     stats = MiningStats() if stats is None else stats
-    pairs = iter(pairs)
-    while chunk := list(itertools.islice(pairs, FILTER_CHUNK)):
-        stats.input_pairs += len(chunk)
-        encoded = []
-        for pair in chunk:
+    lines: dict[str, dict[str, int]] = {}
+    repeats: Counter[tuple[str, str]] = Counter()
+    for number, pair in enumerate(pairs):
+        targets = lines.setdefault(pair.source, {})
+        if pair.target in targets:
+            repeats[pair.source, pair.target] += 1
+        else:
+            targets[pair.target] = number
+        stats.input_pairs += 1
+
+    def encoded():
+        for source, targets in lines.items():
             try:
-                encoded.append((pair, enc(pair.source), enc(pair.target)))
+                x = enc(source)
             except MiningError:
-                stats.encoder_failures += 1
-        if not encoded:
-            continue
-        kept, xs, ys = zip(*encoded)
-        for pair, sim in zip(kept, cosine_similarity(np.array(xs), np.array(ys))):
+                stats.encoder_failures += sum(1 + repeats[source, t] for t in targets)
+                continue
+            for target, first in targets.items():
+                count = 1 + repeats[source, target]
+                try:
+                    y = enc(target)
+                except MiningError:
+                    stats.encoder_failures += count
+                    continue
+                yield (first, source, target, count), x, y
+
+    # source -> (its first kept line, its kept targets); a source's targets
+    # come in first-seen order, so its first kept target gives that line
+    kept: dict[str, tuple[int, list[str]]] = {}
+    rows = encoded()
+    while chunk := list(itertools.islice(rows, FILTER_CHUNK)):
+        keys, xs, ys = zip(*chunk)
+        sims = cosine_similarity(np.array(xs), np.array(ys))
+        for (first, source, target, count), sim in zip(keys, sims):
             if sim >= threshold:
-                stats.kept_pairs += 1
-                yield pair
-
-
-def group_by_source(pairs: Iterable[AlignedPair]) -> list[list[str]]:
-    """The targets of each distinct source string, one list per source:
-    sources and targets both in first-seen order, targets deduplicated."""
-    groups: dict[str, dict[str, None]] = {}
-    for pair in pairs:
-        groups.setdefault(pair.source, {}).setdefault(pair.target, None)
-    return [list(targets) for targets in groups.values()]
+                stats.kept_pairs += count
+                kept.setdefault(source, (first, []))[1].append(target)
+    ordered = sorted(kept.items(), key=lambda item: item[1][0])
+    return {source: targets for source, (_, targets) in ordered}
 
 
 def generate_pairs(targets: list[str], rng: SeededRng) -> list[ParaphrasePair]:
@@ -221,17 +241,18 @@ def mine(
     seed: int,
     stats: MiningStats | None = None,
 ) -> list[ParaphrasePair]:
-    """Full extraction: filter -> group by source -> generate -> dedup.
+    """Full extraction: group by source and filter -> generate -> dedup.
 
+    Holds the strings of every distinct aligned line while it filters.
     Deterministic given (corpus, encoder, seed): each group draws from a
     sub-stream keyed by its index, and final pairs are deduplicated on
-    unordered identity so repeated corpus lines cannot create duplicates.
-    Only groups of at least two targets can be paired.
+    unordered identity, so targets shared across groups cannot create
+    duplicates. Only groups of at least two targets can be paired.
     """
     stats = MiningStats() if stats is None else stats
     rng = SeededRng(seed).substream("mining")
-    groups = group_by_source(filter_pairs(corpus, enc, config.threshold, stats))
-    pairable = [(i, targets) for i, targets in enumerate(groups) if len(targets) >= 2]
+    groups = filter_groups(corpus, enc, config.threshold, stats)
+    pairable = [(i, targets) for i, targets in enumerate(groups.values()) if len(targets) >= 2]
     stats.groups = len(pairable)
     # keyed on the unordered pair; setdefault keeps the first occurrence
     out: dict[frozenset[str], ParaphrasePair] = {}

@@ -18,9 +18,8 @@ from sentenc.mining import (
     MiningError,
     MiningStats,
     char_ngram_buckets,
-    filter_pairs,
+    filter_groups,
     generate_pairs,
-    group_by_source,
     hashed_ngram_encoder,
     mine,
     precomputed_encoder,
@@ -129,25 +128,32 @@ class TestPrecomputedEncoder:
         assert precomputed_encoder(p)("hello world").tolist() == [1.0, 2.0, 3.0]
 
 
+def kept_set(groups):
+    """The (source, target) pairs that `filter_groups` kept."""
+    return {(source, target) for source, targets in groups.items() for target in targets}
+
+
 class TestFilterPairs:
     def test_threshold_zero_keeps_all_with_ngram_encoder(self):
         # hashed n-gram vectors are nonnegative, so all cosines are >= 0
         enc = hashed_ngram_encoder(64)
         pairs = [AlignedPair(f"src {i}", f"tgt {i}") for i in range(20)]
-        assert list(filter_pairs(pairs, enc, 0.0)) == pairs
+        stats = MiningStats()
+        groups = filter_groups(pairs, enc, 0.0, stats)
+        assert list(groups.items()) == [(pair.source, [pair.target]) for pair in pairs]
+        assert stats.kept_pairs == stats.input_pairs == len(pairs)
 
     def test_identical_pair_survives_any_threshold(self):
         enc = hashed_ngram_encoder(64)
         pair = AlignedPair("same sentence", "same sentence")
-        assert list(filter_pairs([pair], enc, 1.0)) == [pair]
+        assert filter_groups([pair], enc, 1.0) == {"same sentence": ["same sentence"]}
 
     def test_default_operating_threshold(self):
         # the default operating point keeps only cosine >= 0.7
         enc = hashed_ngram_encoder(256)
         near = AlignedPair("the cat sat on the mat", "the cat sat on the mats")
         far = AlignedPair("the cat sat on the mat", "qwxz vbnm plo kij")
-        kept = list(filter_pairs([near, far], enc, 0.7))
-        assert kept == [near]
+        assert filter_groups([near, far], enc, 0.7) == {near.source: [near.target]}
 
     def test_monotonicity(self):
         enc = hashed_ngram_encoder(128)
@@ -159,8 +165,8 @@ class TestFilterPairs:
             )
             for _ in range(50)
         ]
-        kept_lo = set(map(id, filter_pairs(pairs, enc, 0.3)))
-        kept_hi = set(map(id, filter_pairs(pairs, enc, 0.6)))
+        kept_lo = kept_set(filter_groups(pairs, enc, 0.3))
+        kept_hi = kept_set(filter_groups(pairs, enc, 0.6))
         assert kept_hi <= kept_lo
 
     def test_encoder_failure_tallied(self):
@@ -168,8 +174,7 @@ class TestFilterPairs:
             raise MiningError("boom")
 
         stats = MiningStats()
-        out = list(filter_pairs([AlignedPair("a", "b")], broken, 0.0, stats))
-        assert out == []
+        assert filter_groups([AlignedPair("a", "b")], broken, 0.0, stats) == {}
         assert stats.encoder_failures == 1
 
     def test_encoder_bug_propagates(self):
@@ -182,12 +187,12 @@ class TestFilterPairs:
         for enc, error in [(buggy, KeyError), (numeric, NumericError)]:
             stats = MiningStats()
             with pytest.raises(error):
-                list(filter_pairs([AlignedPair("a", "b")], enc, 0.0, stats))
+                filter_groups([AlignedPair("a", "b")], enc, 0.0, stats)
             assert stats.encoder_failures == 0
 
 
 def reference_filter(pairs, enc, threshold, stats):
-    """filter_pairs' former loop: one encoder call per side, one cosine per
+    """The filter's former per-pair loop: one encoder call per side, one cosine per
     pair (the 1-d cosine, which TestCosineRowBlocks holds to its former body)."""
     for pair in pairs:
         stats.input_pairs += 1
@@ -201,12 +206,24 @@ def reference_filter(pairs, enc, threshold, stats):
             yield pair
 
 
+def group_by_source(pairs):
+    """The former grouping after the filter: the distinct targets of each
+    source, sources and targets both in first-seen order."""
+    groups: dict[str, dict[str, None]] = {}
+    for pair in pairs:
+        groups.setdefault(pair.source, {}).setdefault(pair.target, None)
+    return {source: list(targets) for source, targets in groups.items()}
+
+
 def assert_filters_alike(pairs, enc, threshold):
+    """filter_groups against the reference filter followed by group_by_source:
+    the same groups in the same order, and every MiningStats field."""
     stats, expected_stats = MiningStats(), MiningStats()
-    kept = list(filter_pairs(pairs, enc, threshold, stats))
-    assert kept == list(reference_filter(pairs, enc, threshold, expected_stats))
+    groups = filter_groups(pairs, enc, threshold, stats)
+    expected = group_by_source(reference_filter(pairs, enc, threshold, expected_stats))
+    assert list(groups.items()) == list(expected.items())
     assert stats == expected_stats
-    return kept, stats
+    return groups, stats
 
 
 def planted_corpus(n: int, seed: int):
@@ -231,8 +248,40 @@ def planted_corpus(n: int, seed: int):
     return pairs, bad, neighbours
 
 
+def planted_vectors(pairs, path):
+    """A precomputed encoder over the planted texts: "missing side" is absent
+    from its file and "zero side" is all zeros."""
+    hashed = hashed_ngram_encoder(32)
+    texts = {t for p in pairs for t in (p.source, p.target) if t.strip() and t != "missing side"}
+    lines = [f"{t}\t{' '.join('0' if t == 'zero side' else str(int(v)) for v in hashed(t))}"
+             for t in sorted(texts)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return precomputed_encoder(path)
+
+
+def repeated_corpus(pairs, seed):
+    """The pairs with each run of three sharing its first source, every line
+    repeated once or twice, in a seeded order."""
+    shared = [AlignedPair(pairs[i - i % 3].source, pair.target) for i, pair in enumerate(pairs)]
+    corpus = shared * 2 + shared[::3]
+    random.Random(seed).shuffle(corpus)
+    return corpus
+
+
+def counting(enc):
+    """enc, and the list of texts it is called on."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return enc(text)
+
+    return counted, calls
+
+
 class TestChunkedFilter:
-    """filter_pairs against its former per-pair loop, kept above as the reference."""
+    """filter_groups against the filter's former per-pair loop followed by the
+    former grouping, both kept above as the reference."""
 
     SIZES = [FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1, 2 * FILTER_CHUNK + 1]
 
@@ -240,26 +289,50 @@ class TestChunkedFilter:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hashed_matches_reference(self, n, seed):
         pairs, bad, neighbours = planted_corpus(n, seed)
-        kept, stats = assert_filters_alike(pairs, hashed_ngram_encoder(64), 0.3)
+        groups, stats = assert_filters_alike(pairs, hashed_ngram_encoder(64), 0.3)
         # of the planted pairs, only the blank sides fail the n-gram encoder
         blanks = [i for i in bad if not pairs[i].source.strip() or not pairs[i].target.strip()]
         assert stats.encoder_failures == len(blanks) > 0
-        assert all(pairs[j] in kept for j in neighbours)
+        assert all((pairs[j].source, pairs[j].target) in kept_set(groups) for j in neighbours)
         assert 0 < stats.kept_pairs < n - len(blanks)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_precomputed_matches_reference(self, n, tmp_path):
-        # "missing side" is absent from the file and "zero side" is all zeros
         pairs, bad, neighbours = planted_corpus(n, seed=n)
-        hashed = hashed_ngram_encoder(32)
-        texts = {t for p in pairs for t in (p.source, p.target) if t.strip() and t != "missing side"}
-        lines = [f"{t}\t{' '.join('0' if t == 'zero side' else str(int(v)) for v in hashed(t))}"
-                 for t in sorted(texts)]
-        path = tmp_path / "vectors.tsv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        kept, stats = assert_filters_alike(pairs, precomputed_encoder(path), 0.3)
+        enc = planted_vectors(pairs, tmp_path / "vectors.tsv")
+        groups, stats = assert_filters_alike(pairs, enc, 0.3)
         assert stats.encoder_failures == len(bad) > 0
-        assert all(pairs[j] in kept for j in neighbours)
+        assert all((pairs[j].source, pairs[j].target) in kept_set(groups) for j in neighbours)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_repeated_lines_and_shared_sources_match_reference(self, n, tmp_path):
+        corpus = repeated_corpus(planted_corpus(n, seed=n)[0], seed=n)
+        for enc in hashed_ngram_encoder(64), planted_vectors(corpus, tmp_path / "vectors.tsv"):
+            groups, stats = assert_filters_alike(corpus, enc, 0.3)
+            assert stats.input_pairs == len(corpus) > stats.kept_pairs > 0
+            assert stats.encoder_failures > 0
+            assert any(len(targets) > 1 for targets in groups.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_repeated_line_counts_each_time(self, k):
+        # a failing source, a failing target, a rejected and a kept line
+        lines = [AlignedPair("  ", "lost target"), AlignedPair("lone source", " "),
+                 AlignedPair("same words", "qwxz vbnm"), AlignedPair("same words", "same words")]
+        enc, calls = counting(hashed_ngram_encoder(256))
+        stats = MiningStats()
+        assert filter_groups(lines * k, enc, 0.5, stats) == {"same words": ["same words"]}
+        assert stats == MiningStats(input_pairs=4 * k, kept_pairs=k, encoder_failures=2 * k)
+        # the failing source's target is never encoded
+        assert sorted(calls) == [" ", "  ", "lone source", "qwxz vbnm", "same words", "same words"]
+        assert_filters_alike(lines * k, hashed_ngram_encoder(256), 0.5)
+
+    def test_source_ordered_by_first_kept_line(self):
+        enc = hashed_ngram_encoder(256)
+        pairs = [AlignedPair("the cat sat on the mat", "qwxz vbnm plo kij"),
+                 AlignedPair("a dog ran in the park", "a dog ran in the parks"),
+                 AlignedPair("the cat sat on the mat", "the cat sat on the mats")]
+        groups, _ = assert_filters_alike(pairs, enc, 0.7)
+        assert list(groups) == ["a dog ran in the park", "the cat sat on the mat"]
 
     @pytest.mark.parametrize("name", ["desk", "mine-wide", "encode-ragged"])
     def test_benchmark_corpora_match_reference(self, name, tmp_path, monkeypatch):
@@ -272,8 +345,13 @@ class TestChunkedFilter:
         config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
         pairs = list(read_parallel_tsv(tmp_path / "corpus.tsv"))
         enc = hashed_ngram_encoder(config["filter_encoder"]["dimension"])
-        kept, stats = assert_filters_alike(pairs, enc, config["mining"]["threshold"])
-        assert len(pairs) > 2 * FILTER_CHUNK and kept
+        groups, stats = assert_filters_alike(pairs, enc, config["mining"]["threshold"])
+        assert len(pairs) > 2 * FILTER_CHUNK and groups
+        # one encoder call per distinct source and one per distinct aligned pair
+        counted, calls = counting(enc)
+        filter_groups(pairs, counted, config["mining"]["threshold"])
+        distinct = {(pair.source, pair.target) for pair in pairs}
+        assert len(calls) == len({source for source, _ in distinct}) + len(distinct) < 2 * len(pairs)
 
     def test_mixed_widths_across_pairs_are_a_bug(self):
         # a FilterEncoder gives one width for every text, within a pair too
@@ -283,23 +361,30 @@ class TestChunkedFilter:
         for pairs in [[AlignedPair("ab", "cd"), AlignedPair("abc", "def")], [AlignedPair("ab", "cde")]]:
             stats = MiningStats()
             with pytest.raises(ValueError):
-                list(filter_pairs(pairs, enc, 0.0, stats))
+                filter_groups(pairs, enc, 0.0, stats)
             assert stats.encoder_failures == 0
 
 
 class TestGroupBySource:
+    """Threshold 0 with the hashed encoder keeps every line, so these see
+    filter_groups' grouping alone."""
+
+    @staticmethod
+    def _groups(pairs):
+        return filter_groups(pairs, hashed_ngram_encoder(64), 0.0)
+
     def test_basic_grouping(self):
         pairs = [
             AlignedPair("s1", "t1"),
             AlignedPair("s1", "t2"),
             AlignedPair("s2", "t3"),
         ]
-        groups = group_by_source(pairs)
-        assert groups == [["t1", "t2"], ["t3"]]
+        groups = self._groups(pairs)
+        assert list(groups.items()) == [("s1", ["t1", "t2"]), ("s2", ["t3"])]
 
     def test_duplicate_targets_deduplicated(self):
-        groups = group_by_source([AlignedPair("s1", "t1"), AlignedPair("s1", "t1")])
-        assert groups == [["t1"]]
+        groups = self._groups([AlignedPair("s1", "t1"), AlignedPair("s1", "t1")])
+        assert groups == {"s1": ["t1"]}
 
     def test_against_brute_force_oracle(self):
         rng = SeededRng(9)
@@ -310,9 +395,10 @@ class TestGroupBySource:
         oracle: dict[str, set[str]] = defaultdict(set)
         for p in pairs:
             oracle[p.source].add(p.target)
-        groups = group_by_source(pairs)
+        groups = self._groups(pairs)
         # the oracle's keys are in first-seen source order, as the groups are
-        assert [set(targets) for targets in groups] == list(oracle.values())
+        assert list(groups) == list(oracle)
+        assert [set(targets) for targets in groups.values()] == list(oracle.values())
 
 
 class TestGeneratePairs:
@@ -347,9 +433,9 @@ class TestGeneratePairs:
 def reference_mine(corpus, enc, threshold, seed):
     """mine's former dedupe: a seen-set of unordered keys plus an output list."""
     rng = SeededRng(seed).substream("mining")
-    groups = group_by_source(filter_pairs(corpus, enc, threshold))
+    groups = group_by_source(reference_filter(corpus, enc, threshold, MiningStats()))
     seen, out = set(), []
-    for index, targets in enumerate(groups):
+    for index, targets in enumerate(groups.values()):
         if len(targets) < 2:
             continue
         for pair in generate_pairs(targets, rng.substream(f"group{index}")):
@@ -412,7 +498,7 @@ class TestMine:
             assert out == reference_mine(corpus, enc, 0.0, seed)
             generated = [
                 pair
-                for index, targets in enumerate(group_by_source(corpus))
+                for index, targets in enumerate(group_by_source(corpus).values())
                 if len(targets) >= 2
                 for pair in generate_pairs(
                     targets, SeededRng(seed).substream("mining").substream(f"group{index}")
