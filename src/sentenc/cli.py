@@ -1,7 +1,7 @@
 """Command-line surface: mine, train, encode, eval.
 
-Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numeric divergence;
-each error class in `sentenc.errors` carries its own.
+Exit codes: 0 success, 1 I/O failure (or memory exhausted), 2 config error,
+3 numeric divergence; each error class in `sentenc.errors` carries its own.
 Every command is deterministic given (config, seed); the master seed feeds
 each stage through a named sub-stream. --threads N must be at least 1 and is
 otherwise unused: all work runs serially in one process.
@@ -57,6 +57,7 @@ def cmd_mine(config: RunConfig) -> int:
     pairs = mine(reader, enc, config.mining, seed=seed, stats=stats)
     write_pairs(pairs, config.paths.pairs)
     print(f"input pairs:        {stats.input_pairs}")
+    print(f"unpairable lines:   {stats.unpairable}")
     print(f"filtered survivors: {stats.kept_pairs}")
     print(f"encoder failures:   {stats.encoder_failures}")
     print(f"groups >= 2:        {stats.groups}")
@@ -167,6 +168,11 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"{SentencError.label}: {exc}", file=sys.stderr)
+        return SentencError.exit_code
+    except MemoryError as exc:
+        # last resort, for a size that no check refused before allocating it
+        detail = f": {exc}" if str(exc) else ""
+        print(f"{SentencError.label}: out of memory{detail}", file=sys.stderr)
         return SentencError.exit_code
 
 

@@ -1,8 +1,10 @@
 """Paraphrase extraction from a sentence-aligned bilingual corpus.
 
-Stages: group the aligned lines by source sentence, similarity-filter each
-group (each source and each distinct aligned pair is encoded once, however
-often its line repeats), then generate pairs within each group so that every
+Stages: group the aligned lines by source sentence, skip each source with
+fewer than two distinct targets (it can never give a pair, so it is never
+encoded), similarity-filter the other groups (each source and each distinct
+aligned pair is encoded once, however often its line repeats), then generate
+pairs within each group, from a stream keyed by its source, so that every
 kept target sentence appears in at least one pair.
 """
 
@@ -49,6 +51,9 @@ class MiningConfig:
 @dataclass
 class MiningStats:
     input_pairs: int = 0
+    # lines, repeats included, whose source has one distinct target; the
+    # other counts below cover only the lines of the remaining sources
+    unpairable: int = 0
     kept_pairs: int = 0
     encoder_failures: int = 0
     groups: int = 0
@@ -74,11 +79,6 @@ def _char_ngrams(text: str, n: int = 3) -> list[str]:
 
 def _bucket(gram: str, dimension: int) -> int:
     return _fnv1a(gram.encode("utf-8")) % dimension
-
-
-def char_ngram_buckets(text: str, dimension: int, n: int = 3) -> list[int]:
-    """Bucket indices of the character n-grams of boundary-padded text."""
-    return [_bucket(gram, dimension) for gram in _char_ngrams(text, n)]
 
 
 class _BucketMemo(dict):
@@ -158,18 +158,20 @@ def filter_groups(
     threshold: float,
     stats: MiningStats | None = None,
 ) -> dict[str, list[str]]:
-    """Each source's targets whose cross-lingual embedding cosine with it is
-    >= threshold: source -> its distinct kept targets in first-seen order,
-    sources in the order of their first kept line.
+    """Each pairable source's targets whose cross-lingual embedding cosine
+    with it is >= threshold: source -> its distinct kept targets in
+    first-seen order, sources in the order of their first kept line.
 
     The corpus is read once into `source -> {target: first line}`, and a
-    repeated line only adds to a count. Each source is encoded once,
-    then each of its distinct targets, and one `cosine_similarity` call
-    scores FILTER_CHUNK such pairs. A MiningError from the encoder (a noisy
-    line) is tallied per line, not fatal: a failing source fails every line
-    of its group without its targets being encoded. Anything else breaks
-    the FilterEncoder contract and propagates: any other exception, and a
-    vector whose width differs from another's, within a pair or across pairs.
+    repeated line only adds to a count. A source with one distinct target
+    can never give a pair: its lines are counted as unpairable and neither
+    side is encoded. Each other source is encoded once, then each of its
+    distinct targets, and one `cosine_similarity` call scores FILTER_CHUNK
+    such pairs. A MiningError from the encoder (a noisy line) is tallied per
+    line, not fatal: a failing source fails every line of its group without
+    its targets being encoded. Anything else breaks the FilterEncoder
+    contract and propagates: any other exception, and a vector whose width
+    differs from another's, within a pair or across pairs.
     """
     stats = MiningStats() if stats is None else stats
     lines: dict[str, dict[str, int]] = {}
@@ -182,12 +184,18 @@ def filter_groups(
             targets[pair.target] = number
         stats.input_pairs += 1
 
+    def group_lines(source, targets):
+        return sum(1 + repeats[source, t] for t in targets)
+
     def encoded():
         for source, targets in lines.items():
+            if len(targets) < 2:
+                stats.unpairable += group_lines(source, targets)
+                continue
             try:
                 x = enc(source)
             except MiningError:
-                stats.encoder_failures += sum(1 + repeats[source, t] for t in targets)
+                stats.encoder_failures += group_lines(source, targets)
                 continue
             for target, first in targets.items():
                 count = 1 + repeats[source, target]
@@ -245,19 +253,21 @@ def mine(
 
     Holds the strings of every distinct aligned line while it filters.
     Deterministic given (corpus, encoder, seed): each group draws from a
-    sub-stream keyed by its index, and final pairs are deduplicated on
-    unordered identity, so targets shared across groups cannot create
-    duplicates. Only groups of at least two targets can be paired.
+    sub-stream keyed by its source, so its pairs depend only on its own kept
+    targets, not on which other sources the corpus holds; final pairs are
+    deduplicated on unordered identity, so targets shared across groups
+    cannot create duplicates. Only groups of at least two kept targets can
+    be paired.
     """
     stats = MiningStats() if stats is None else stats
     rng = SeededRng(seed).substream("mining")
     groups = filter_groups(corpus, enc, config.threshold, stats)
-    pairable = [(i, targets) for i, targets in enumerate(groups.values()) if len(targets) >= 2]
+    pairable = [(source, targets) for source, targets in groups.items() if len(targets) >= 2]
     stats.groups = len(pairable)
     # keyed on the unordered pair; setdefault keeps the first occurrence
     out: dict[frozenset[str], ParaphrasePair] = {}
-    for index, targets in pairable:
-        for pair in generate_pairs(targets, rng.substream(f"group{index}")):
+    for source, targets in pairable:
+        for pair in generate_pairs(targets, rng.substream(f"group:{source}")):
             out.setdefault(frozenset((pair.a, pair.b)), pair)
     stats.emitted_pairs = len(out)
     return list(out.values())

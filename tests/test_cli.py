@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sentenc.cli
 import sentenc.encoder
 from sentenc.cli import main
 from sentenc.config import load_run_config
@@ -104,11 +105,46 @@ class TestMineCommand:
         assert main(["mine", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "input pairs:        12" in out
+        assert "unpairable lines:   0" in out
         assert "filtered survivors: 12" in out
         assert "encoder failures:   0" in out
         assert "groups >= 2:        3" in out
         assert "emitted pairs:      6" in out
         assert len(read_pairs(fixture_corpus / "pairs.tsv")) == 6
+
+    def test_unpairable_lines_are_counted_and_leave_pairs_alone(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        capsys.readouterr()
+        pairs = (fixture_corpus / "pairs.tsv").read_bytes()
+        # three lines of two one-target sources, ahead of every pairable source
+        corpus = fixture_corpus / "corpus.tsv"
+        lone = "lone source\tlone target\n" * 2 + "other lone\tqwxz vbnm\n"
+        corpus.write_text(lone + corpus.read_text(encoding="utf-8"), encoding="utf-8")
+        (fixture_corpus / "pairs.tsv").unlink()
+        assert main(["mine", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.splitlines()[:6] == [
+            "input pairs:        15",
+            "unpairable lines:   3",
+            "filtered survivors: 12",
+            "encoder failures:   0",
+            "groups >= 2:        3",
+            "emitted pairs:      6",
+        ]
+        assert (fixture_corpus / "pairs.tsv").read_bytes() == pairs
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 PiB for an array", ""])
+    def test_memory_error_exits_1_with_one_line(self, fixture_corpus, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(sentenc.cli, "mine", exhausted)
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"I/O error: out of memory{': ' * bool(message)}{message}\n"
+        assert not (fixture_corpus / "pairs.tsv").exists()
 
     def test_moses_pair_mines_like_one_tsv(self, fixture_corpus, capsys):
         config = write_config(fixture_corpus)
@@ -485,8 +521,8 @@ class TestSyntheticPipelineMiningBytes:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (2, "43bea6a1575c554af419b475723e960f49dfe5e277ccdd9f8b62139eea38ba08"),
-            (7, "fc2ffca01a3391d503d4c24195b3e6b5a32c789fb2882dc0e12da23f92b95140"),
+            (2, "a889dfd55fc3e42e7a070494de7e49cc8a18a6c9435cfeca501462eab9319cf2"),
+            (7, "f6a05376de81e08456bc1fe06acbaf493bed8dd14dfdde05547102b31899c028"),
         ],
     )
     def test_pairs_sha256(self, tmp_path, seed, digest):

@@ -17,7 +17,8 @@ from sentenc.mining import (
     MiningConfig,
     MiningError,
     MiningStats,
-    char_ngram_buckets,
+    _bucket,
+    _char_ngrams,
     filter_groups,
     generate_pairs,
     hashed_ngram_encoder,
@@ -29,6 +30,12 @@ from sentenc.numeric import NumericError, SeededRng, cosine_similarity
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 MIXED_SCRIPTS = ["some plain text", "zażółć gęślą jaźń", "猫が寝た 猫が", "🐈 tail 🐈‍⬛ 𝔘𝔫𝔦"]
+
+
+def char_ngram_buckets(text: str, dimension: int, n: int = 3) -> list[int]:
+    """Bucket indices of the character n-grams of boundary-padded text: the
+    reference for the hashed encoder's counts."""
+    return [_bucket(gram, dimension) for gram in _char_ngrams(text, n)]
 
 
 class TestHashedNgramEncoder:
@@ -137,16 +144,20 @@ class TestFilterPairs:
     def test_threshold_zero_keeps_all_with_ngram_encoder(self):
         # hashed n-gram vectors are nonnegative, so all cosines are >= 0
         enc = hashed_ngram_encoder(64)
-        pairs = [AlignedPair(f"src {i}", f"tgt {i}") for i in range(20)]
+        pairs = [AlignedPair(f"src {i // 2}", f"tgt {i}") for i in range(20)]
         stats = MiningStats()
         groups = filter_groups(pairs, enc, 0.0, stats)
-        assert list(groups.items()) == [(pair.source, [pair.target]) for pair in pairs]
+        assert list(groups.items()) == [
+            (f"src {k}", [f"tgt {2 * k}", f"tgt {2 * k + 1}"]) for k in range(10)
+        ]
         assert stats.kept_pairs == stats.input_pairs == len(pairs)
+        assert stats.unpairable == 0
 
     def test_identical_pair_survives_any_threshold(self):
         enc = hashed_ngram_encoder(64)
-        pair = AlignedPair("same sentence", "same sentence")
-        assert filter_groups([pair], enc, 1.0) == {"same sentence": ["same sentence"]}
+        pairs = [AlignedPair("same sentence", "same sentence"),
+                 AlignedPair("same sentence", "qwxz vbnm plo kij")]
+        assert filter_groups(pairs, enc, 1.0) == {"same sentence": ["same sentence"]}
 
     def test_default_operating_threshold(self):
         # the default operating point keeps only cosine >= 0.7
@@ -174,8 +185,9 @@ class TestFilterPairs:
             raise MiningError("boom")
 
         stats = MiningStats()
-        assert filter_groups([AlignedPair("a", "b")], broken, 0.0, stats) == {}
-        assert stats.encoder_failures == 1
+        pairs = [AlignedPair("a", "b"), AlignedPair("a", "c")]
+        assert filter_groups(pairs, broken, 0.0, stats) == {}
+        assert stats.encoder_failures == 2
 
     def test_encoder_bug_propagates(self):
         def buggy(text):
@@ -187,7 +199,7 @@ class TestFilterPairs:
         for enc, error in [(buggy, KeyError), (numeric, NumericError)]:
             stats = MiningStats()
             with pytest.raises(error):
-                filter_groups([AlignedPair("a", "b")], enc, 0.0, stats)
+                filter_groups([AlignedPair("a", "b"), AlignedPair("a", "c")], enc, 0.0, stats)
             assert stats.encoder_failures == 0
 
 
@@ -215,42 +227,105 @@ def group_by_source(pairs):
     return {source: list(targets) for source, targets in groups.items()}
 
 
+def targets_by_source(pairs):
+    """source -> the set of its distinct targets."""
+    targets = defaultdict(set)
+    for pair in pairs:
+        targets[pair.source].add(pair.target)
+    return targets
+
+
+def split_unpairable(pairs):
+    """The lines whose source has at least two distinct targets, and the
+    number of the other lines."""
+    targets = targets_by_source(pairs)
+    pairable = [pair for pair in pairs if len(targets[pair.source]) >= 2]
+    return pairable, len(pairs) - len(pairable)
+
+
 def assert_filters_alike(pairs, enc, threshold):
-    """filter_groups against the reference filter followed by group_by_source:
-    the same groups in the same order, and every MiningStats field."""
+    """filter_groups against the reference: the lines of one-target sources
+    dropped and counted as unpairable, then the reference filter followed by
+    group_by_source. The same groups in the same order, and every
+    MiningStats field."""
     stats, expected_stats = MiningStats(), MiningStats()
     groups = filter_groups(pairs, enc, threshold, stats)
-    expected = group_by_source(reference_filter(pairs, enc, threshold, expected_stats))
+    pairable, unpairable = split_unpairable(pairs)
+    expected = group_by_source(reference_filter(pairable, enc, threshold, expected_stats))
+    expected_stats.input_pairs += unpairable
+    expected_stats.unpairable = unpairable
     assert list(groups.items()) == list(expected.items())
     assert stats == expected_stats
     return groups, stats
 
 
+# where a failing side is planted, and its text
+FAILING_SIDES = [("source", "  \t "), ("target", ""), ("source", "missing side"),
+                 ("target", "missing side"), ("source", "zero side"), ("target", "zero side")]
+
+
 def planted_corpus(n: int, seed: int):
-    """n seeded pairs with a failing pair at both ends, in the middle and on
-    each side of every chunk boundary, each next to identical-sides pairs
-    that any threshold keeps. Blank, missing and zero sides take turns."""
+    """n seeded lines in runs of two (three at the end when n is odd) that
+    share a source and have distinct targets, so every source can pair. A
+    failing side is planted in the runs at both ends, at n/8, n/4, n/2 and
+    3n/4 and on each side of every chunk boundary, and each run beside one
+    opens with an identical-sides line that any threshold keeps. Blank,
+    missing and zero sides take turns, on a run's source (which fails each
+    of its lines) and on a target, so each of the six is planted. Returns
+    the lines, the indices of the failing lines and those of the
+    identical-sides lines."""
     rng = random.Random(seed)
     words = "ala ma kota pies dom las rzeka most droga okno".split()
 
     def sentence():
         return " ".join(rng.sample(words, rng.randint(2, 5)))
 
-    pairs = [AlignedPair(sentence(), sentence()) for _ in range(n)]
-    bad = sorted({b for b in (0, n // 2, FILTER_CHUNK - 1, FILTER_CHUNK, 2 * FILTER_CHUNK, n - 1) if b < n})
-    kinds = itertools.cycle([("  \t ", "ok side"), ("missing side", "ok side"), ("zero side", "ok side"),
-                             ("ok side", ""), ("ok side", "missing side"), ("ok side", "zero side")])
-    for i in bad:
-        pairs[i] = AlignedPair(*next(kinds))
-    neighbours = sorted({j for i in bad for j in (i - 1, i + 1) if 0 <= j < n} - set(bad))
-    for j in neighbours:
-        pairs[j] = AlignedPair(f"same {j} words", f"same {j} words")
-    return pairs, bad, neighbours
+    def distinct(k):
+        out = []
+        while len(out) < k:
+            if (text := sentence()) not in out:
+                out.append(text)
+        return out
+
+    sizes = [2] * (n // 2 - 1) + [n - 2 * (n // 2 - 1)]
+    runs = [(sentence(), distinct(size)) for size in sizes]
+    last = len(runs) - 1
+    lines = {0, n // 8, n // 4, n // 2, 3 * n // 4, FILTER_CHUNK - 1, FILTER_CHUNK,
+             2 * FILTER_CHUNK, n - 1}
+    planted = sorted({min(i // 2, last) for i in lines if i < n})
+    for r, (side, text) in zip(planted, itertools.cycle(FAILING_SIDES)):
+        source, targets = runs[r]
+        runs[r] = (text, targets) if side == "source" else (source, [text, *targets[1:]])
+    beside = sorted({b for r in planted for b in (r - 1, r + 1) if 0 <= b <= last} - set(planted))
+    for b in beside:
+        same = f"same {b} words"
+        runs[b] = (same, [same, *runs[b][1][1:]])
+    pairs = [AlignedPair(source, target) for source, targets in runs for target in targets]
+    failing = {text for _, text in FAILING_SIDES}
+    bad = [i for i, pair in enumerate(pairs) if {pair.source, pair.target} & failing]
+    starts = list(itertools.accumulate([0, *sizes]))
+    return pairs, bad, [starts[b] for b in beside]
+
+
+def with_lonely(pairs):
+    """pairs with a line of a new one-target source after every fourth line.
+    Blank sources and blank targets take turns among them, and
+    planted_vectors' file holds none of their texts, so encoding any of
+    them would fail."""
+    out = []
+    for i, pair in enumerate(pairs):
+        out.append(pair)
+        if i % 4 == 3:
+            k = i // 4
+            source = " " * (k + 1) if k % 3 == 1 else f"lone source {k}"
+            out.append(AlignedPair(source, "" if k % 3 == 2 else f"lone target {k}"))
+    return out
 
 
 def planted_vectors(pairs, path):
-    """A precomputed encoder over the planted texts: "missing side" is absent
-    from its file and "zero side" is all zeros."""
+    """A precomputed encoder over the texts of pairs, from their 32-bucket
+    n-gram counts: "missing side" and blank texts are absent from its file
+    and "zero side" is all zeros."""
     hashed = hashed_ngram_encoder(32)
     texts = {t for p in pairs for t in (p.source, p.target) if t.strip() and t != "missing side"}
     lines = [f"{t}\t{' '.join('0' if t == 'zero side' else str(int(v)) for v in hashed(t))}"
@@ -279,6 +354,18 @@ def counting(enc):
     return counted, calls
 
 
+def benchmark_corpus(name, tmp_path, monkeypatch):
+    """A benchmark workload's corpus lines and config, at scale 0.2 and seed 7."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workloads.generate(name, 7, str(tmp_path), scale=0.2)
+    config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    return list(read_parallel_tsv(tmp_path / "corpus.tsv")), config
+
+
 class TestChunkedFilter:
     """filter_groups against the filter's former per-pair loop followed by the
     former grouping, both kept above as the reference."""
@@ -289,10 +376,13 @@ class TestChunkedFilter:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hashed_matches_reference(self, n, seed):
         pairs, bad, neighbours = planted_corpus(n, seed)
-        groups, stats = assert_filters_alike(pairs, hashed_ngram_encoder(64), 0.3)
-        # of the planted pairs, only the blank sides fail the n-gram encoder
+        corpus = with_lonely(pairs)
+        groups, stats = assert_filters_alike(corpus, hashed_ngram_encoder(64), 0.3)
+        # of the planted lines, only those with a blank side fail the n-gram
+        # encoder; the blank sides of one-target sources are never encoded
         blanks = [i for i in bad if not pairs[i].source.strip() or not pairs[i].target.strip()]
         assert stats.encoder_failures == len(blanks) > 0
+        assert stats.unpairable == len(corpus) - n > 0
         assert all((pairs[j].source, pairs[j].target) in kept_set(groups) for j in neighbours)
         assert 0 < stats.kept_pairs < n - len(blanks)
 
@@ -300,8 +390,10 @@ class TestChunkedFilter:
     def test_precomputed_matches_reference(self, n, tmp_path):
         pairs, bad, neighbours = planted_corpus(n, seed=n)
         enc = planted_vectors(pairs, tmp_path / "vectors.tsv")
-        groups, stats = assert_filters_alike(pairs, enc, 0.3)
+        corpus = with_lonely(pairs)
+        groups, stats = assert_filters_alike(corpus, enc, 0.3)
         assert stats.encoder_failures == len(bad) > 0
+        assert stats.unpairable == len(corpus) - n > 0
         assert all((pairs[j].source, pairs[j].target) in kept_set(groups) for j in neighbours)
 
     @pytest.mark.parametrize("n", SIZES)
@@ -315,50 +407,56 @@ class TestChunkedFilter:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_repeated_line_counts_each_time(self, k):
-        # a failing source, a failing target, a rejected and a kept line
-        lines = [AlignedPair("  ", "lost target"), AlignedPair("lone source", " "),
-                 AlignedPair("same words", "qwxz vbnm"), AlignedPair("same words", "same words")]
+        # a failing source, a failing target, a rejected line, two kept lines
+        # and a one-target source
+        lines = [AlignedPair("  ", "lost target"), AlignedPair("  ", "lost too"),
+                 AlignedPair("some source", " "), AlignedPair("some source", "some source"),
+                 AlignedPair("same words", "qwxz vbnm"), AlignedPair("same words", "same words"),
+                 AlignedPair("lone words", "lone words")]
         enc, calls = counting(hashed_ngram_encoder(256))
         stats = MiningStats()
-        assert filter_groups(lines * k, enc, 0.5, stats) == {"same words": ["same words"]}
-        assert stats == MiningStats(input_pairs=4 * k, kept_pairs=k, encoder_failures=2 * k)
-        # the failing source's target is never encoded
-        assert sorted(calls) == [" ", "  ", "lone source", "qwxz vbnm", "same words", "same words"]
+        assert filter_groups(lines * k, enc, 0.5, stats) == {
+            "some source": ["some source"], "same words": ["same words"]
+        }
+        assert stats == MiningStats(input_pairs=7 * k, unpairable=k, kept_pairs=2 * k,
+                                    encoder_failures=3 * k)
+        # neither the failing source's targets nor the one-target source's
+        # texts are encoded
+        assert sorted(calls) == [" ", "  ", "qwxz vbnm", "same words", "same words",
+                                 "some source", "some source"]
         assert_filters_alike(lines * k, hashed_ngram_encoder(256), 0.5)
 
     def test_source_ordered_by_first_kept_line(self):
         enc = hashed_ngram_encoder(256)
         pairs = [AlignedPair("the cat sat on the mat", "qwxz vbnm plo kij"),
                  AlignedPair("a dog ran in the park", "a dog ran in the parks"),
-                 AlignedPair("the cat sat on the mat", "the cat sat on the mats")]
+                 AlignedPair("the cat sat on the mat", "the cat sat on the mats"),
+                 AlignedPair("a dog ran in the park", "qwxz vbnm plo kij")]
         groups, _ = assert_filters_alike(pairs, enc, 0.7)
         assert list(groups) == ["a dog ran in the park", "the cat sat on the mat"]
 
     @pytest.mark.parametrize("name", ["desk", "mine-wide", "encode-ragged"])
     def test_benchmark_corpora_match_reference(self, name, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up in sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        workloads.generate(name, 7, str(tmp_path), scale=0.2)
-        config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
-        pairs = list(read_parallel_tsv(tmp_path / "corpus.tsv"))
+        pairs, config = benchmark_corpus(name, tmp_path, monkeypatch)
         enc = hashed_ngram_encoder(config["filter_encoder"]["dimension"])
         groups, stats = assert_filters_alike(pairs, enc, config["mining"]["threshold"])
-        assert len(pairs) > 2 * FILTER_CHUNK and groups
-        # one encoder call per distinct source and one per distinct aligned pair
+        assert len(pairs) > 2 * FILTER_CHUNK and groups and stats.unpairable > 0
+        # one encoder call per source of at least two distinct targets and one
+        # per distinct aligned pair of such a source
         counted, calls = counting(enc)
         filter_groups(pairs, counted, config["mining"]["threshold"])
-        distinct = {(pair.source, pair.target) for pair in pairs}
-        assert len(calls) == len({source for source, _ in distinct}) + len(distinct) < 2 * len(pairs)
+        pairable = [len(group) for group in targets_by_source(pairs).values() if len(group) >= 2]
+        assert len(calls) == len(pairable) + sum(pairable) < 2 * len(pairs)
 
     def test_mixed_widths_across_pairs_are_a_bug(self):
         # a FilterEncoder gives one width for every text, within a pair too
         def enc(text):
             return np.ones(len(text))
 
-        for pairs in [[AlignedPair("ab", "cd"), AlignedPair("abc", "def")], [AlignedPair("ab", "cde")]]:
+        across = [AlignedPair("ab", "cd"), AlignedPair("ab", "ef"),
+                  AlignedPair("abc", "def"), AlignedPair("abc", "ghi")]
+        within = [AlignedPair("ab", "cde"), AlignedPair("ab", "fgh")]
+        for pairs in across, within:
             stats = MiningStats()
             with pytest.raises(ValueError):
                 filter_groups(pairs, enc, 0.0, stats)
@@ -366,39 +464,50 @@ class TestChunkedFilter:
 
 
 class TestGroupBySource:
-    """Threshold 0 with the hashed encoder keeps every line, so these see
-    filter_groups' grouping alone."""
+    """Threshold 0 with the hashed encoder keeps every line of a source of at
+    least two distinct targets, so these see filter_groups' grouping alone."""
 
     @staticmethod
-    def _groups(pairs):
-        return filter_groups(pairs, hashed_ngram_encoder(64), 0.0)
+    def _groups(pairs, stats=None):
+        return filter_groups(pairs, hashed_ngram_encoder(64), 0.0, stats)
 
     def test_basic_grouping(self):
         pairs = [
             AlignedPair("s1", "t1"),
             AlignedPair("s1", "t2"),
             AlignedPair("s2", "t3"),
+            AlignedPair("s3", "t3"),
+            AlignedPair("s3", "t1"),
         ]
         groups = self._groups(pairs)
-        assert list(groups.items()) == [("s1", ["t1", "t2"]), ("s2", ["t3"])]
+        # s2 has one target, which s3 shares; a group is its source's alone
+        assert list(groups.items()) == [("s1", ["t1", "t2"]), ("s3", ["t3", "t1"])]
 
     def test_duplicate_targets_deduplicated(self):
-        groups = self._groups([AlignedPair("s1", "t1"), AlignedPair("s1", "t1")])
-        assert groups == {"s1": ["t1"]}
+        pairs = [AlignedPair("s1", "t1"), AlignedPair("s1", "t2"), AlignedPair("s1", "t1")]
+        groups = self._groups(pairs)
+        assert groups == {"s1": ["t1", "t2"]}
+        # a repeated line does not make its source pairable
+        stats = MiningStats()
+        assert self._groups([AlignedPair("s1", "t1")] * 2, stats) == {}
+        assert stats == MiningStats(input_pairs=2, unpairable=2)
 
     def test_against_brute_force_oracle(self):
         rng = SeededRng(9)
         pairs = [
             AlignedPair(f"src{rng.integers(0, 100)}", f"tgt{rng.integers(0, 400)}")
             for _ in range(10_000)
-        ]
+        ] + [AlignedPair(f"lone{i}", f"tgt{i}") for i in range(50)]
         oracle: dict[str, set[str]] = defaultdict(set)
         for p in pairs:
             oracle[p.source].add(p.target)
-        groups = self._groups(pairs)
+        stats = MiningStats()
+        groups = self._groups(pairs, stats)
         # the oracle's keys are in first-seen source order, as the groups are
-        assert list(groups) == list(oracle)
-        assert [set(targets) for targets in groups.values()] == list(oracle.values())
+        pairable = {source: targets for source, targets in oracle.items() if len(targets) >= 2}
+        assert list(groups) == list(pairable)
+        assert [set(targets) for targets in groups.values()] == list(pairable.values())
+        assert stats.unpairable == 50
 
 
 class TestGeneratePairs:
@@ -431,19 +540,35 @@ class TestGeneratePairs:
 
 
 def reference_mine(corpus, enc, threshold, seed):
-    """mine's former dedupe: a seen-set of unordered keys plus an output list."""
+    """Every line through the reference filter, then the groups of at least
+    two kept targets, each drawing from a stream keyed by its source, and
+    mine's former dedupe: a seen-set of unordered keys plus an output list."""
     rng = SeededRng(seed).substream("mining")
     groups = group_by_source(reference_filter(corpus, enc, threshold, MiningStats()))
     seen, out = set(), []
-    for index, targets in enumerate(groups.values()):
+    for source, targets in groups.items():
         if len(targets) < 2:
             continue
-        for pair in generate_pairs(targets, rng.substream(f"group{index}")):
+        for pair in generate_pairs(targets, rng.substream(f"group:{source}")):
             key = frozenset((pair.a, pair.b))
             if key not in seen:
                 seen.add(key)
                 out.append(pair)
     return out
+
+
+def assert_mines_alike(corpus, enc, threshold, seed):
+    """mine against reference_mine: the same pairs in the same order, the
+    filter's counts as assert_filters_alike has them, and one group per
+    source with at least two kept targets."""
+    stats = MiningStats()
+    out = mine(corpus, enc, MiningConfig(threshold=threshold), seed=seed, stats=stats)
+    assert out == reference_mine(corpus, enc, threshold, seed)
+    groups, expected = assert_filters_alike(corpus, enc, threshold)
+    expected.groups = sum(len(targets) >= 2 for targets in groups.values())
+    expected.emitted_pairs = len(out)
+    assert stats == expected
+    return out, stats
 
 
 class TestMine:
@@ -498,14 +623,65 @@ class TestMine:
             assert out == reference_mine(corpus, enc, 0.0, seed)
             generated = [
                 pair
-                for index, targets in enumerate(group_by_source(corpus).values())
+                for source, targets in group_by_source(corpus).items()
                 if len(targets) >= 2
                 for pair in generate_pairs(
-                    targets, SeededRng(seed).substream("mining").substream(f"group{index}")
+                    targets, SeededRng(seed).substream("mining").substream(f"group:{source}")
                 )
             ]
             reversed_repeats += sum(ParaphrasePair(p.b, p.a) in generated for p in out)
         assert reversed_repeats > 0
+
+    @pytest.mark.parametrize("n", TestChunkedFilter.SIZES)
+    def test_planted_corpora_match_reference(self, n, tmp_path):
+        pairs, _, _ = planted_corpus(n, seed=n)
+        corpus = with_lonely(pairs)
+        for enc in hashed_ngram_encoder(64), planted_vectors(pairs, tmp_path / "vectors.tsv"):
+            out, stats = assert_mines_alike(corpus, enc, 0.3, seed=n)
+            assert stats.unpairable > 0 and stats.encoder_failures > 0 and out
+        # no text of with_lonely's one-target sources reaches the encoder
+        # ("" is also a planted target of a pairable source)
+        lone = {text for pair in corpus[4::5] for text in (pair.source, pair.target)} - {""}
+        enc, calls = counting(hashed_ngram_encoder(64))
+        mine(corpus, enc, self._config(0.3), seed=n)
+        assert lone and not lone & set(calls)
+
+    @pytest.mark.parametrize("name", ["desk", "mine-wide", "encode-ragged"])
+    def test_benchmark_corpora_match_reference(self, name, tmp_path, monkeypatch):
+        pairs, config = benchmark_corpus(name, tmp_path, monkeypatch)
+        threshold = config["mining"]["threshold"]
+        hashed = hashed_ngram_encoder(config["filter_encoder"]["dimension"])
+        for enc in hashed, planted_vectors(pairs, tmp_path / "vectors.tsv"):
+            out, stats = assert_mines_alike(pairs, enc, threshold, seed=7)
+            assert stats.unpairable > 0 and stats.groups > 0 and out
+        # no text that only one-target sources hold reaches the encoder
+        pairable, lone = set(), set()
+        for source, group in targets_by_source(pairs).items():
+            (pairable if len(group) >= 2 else lone).update((source, *group))
+        lone -= pairable
+        enc, calls = counting(hashed)
+        mine(pairs, enc, MiningConfig(threshold=threshold), seed=7)
+        assert lone and not lone & set(calls)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_group_pairs_ignore_other_sources(self, data):
+        # each source's targets are its own, so every pair names its group
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4)), max_size=40))
+        corpus = [AlignedPair(f"source {s}", f"target {s}.{t}") for s, t in drawn]
+        removed = data.draw(st.sets(st.integers(0, 7)))
+        seed = data.draw(st.integers(0, 2**32))
+        enc = hashed_ngram_encoder(64)
+
+        def by_group(lines):
+            groups = defaultdict(list)
+            for pair in mine(lines, enc, self._config(), seed=seed):
+                groups[int(pair.a.split()[1].split(".")[0])].append(pair)
+            return groups
+
+        full = by_group(corpus)
+        rest = by_group([pair for pair in corpus if int(pair.source.split()[1]) not in removed])
+        assert rest == {s: pairs for s, pairs in full.items() if s not in removed}
 
     def test_stats_counts(self):
         corpus = [
