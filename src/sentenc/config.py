@@ -140,7 +140,8 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 # Keys a section reads only under some setting of another of its keys: each
 # names that key and a test of its value under which the first goes unread.
-# Setting such a key anyway is a config error, not a knob silently ignored.
+# Setting such a key anyway is a config error, not a knob silently ignored,
+# and a checkpoint stores only the encoder keys read (read_fields).
 _UNREAD_WHEN = {
     "filter_encoder.dimension": ("type", lambda v: v == "precomputed"),
     "filter_encoder.path": ("type", lambda v: v == "hashed_ngram"),
@@ -205,11 +206,23 @@ def _build(cls, data, context: str):
     except (ValueError, SentencError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     for name, value in data.items():
-        setting, unread = _UNREAD_WHEN.get(f"{context}.{name}", ("", None))
-        if value is not None and unread and unread(now := getattr(section, setting)):
+        if value is not None and (setting := _unread_by(section, f"{context}.{name}")):
             raise ConfigError(f"{context}.{name} {value!r} is not read when "
-                              f"{context}.{setting} is {now!r}")
+                              f"{context}.{setting} is {getattr(section, setting)!r}")
     return section
+
+
+def _unread_by(section, key: str) -> str | None:
+    """The field of `section` whose value leaves `key` unread, if any."""
+    setting, unread = _UNREAD_WHEN.get(key, ("", None))
+    return setting if unread and unread(getattr(section, setting)) else None
+
+
+def read_fields(section, context: str) -> dict:
+    """The fields of dataclass instance `section` and their values, less the
+    fields that _UNREAD_WHEN says its other values leave unread."""
+    return {f.name: getattr(section, f.name) for f in fields(section)
+            if not _unread_by(section, f"{context}.{f.name}")}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

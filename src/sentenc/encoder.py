@@ -20,25 +20,26 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import atomic_write, open_input
-from .errors import EncoderError
+from .errors import ConfigError, EncoderError
 from .numeric import SeededRng, softmax
 
-PAD_TOKEN, UNK_TOKEN, CLS_TOKEN = "<pad>", "<unk>", "<cls>"
-SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN)
-PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
+UNK_TOKEN, CLS_TOKEN = "<unk>", "<cls>"
+SPECIAL_TOKENS = (UNK_TOKEN, CLS_TOKEN)
+UNK_ID, CLS_ID = 0, 1
 
 POOLING_STRATEGIES = ("cls", "mean", "max", "lstm")
 
 LAYER_NORM_EPS = 1e-5
 
-# Version of the save_model document; load_model reads only this one.
-CHECKPOINT_FORMAT = 2
+# Version of the save_model document, which holds the encoder keys the model
+# reads, the vocabulary and params.flat; load_model reads only this one.
+CHECKPOINT_FORMAT = 3
 
 # Token rows per chunk of the token layers; a longer sentence is a chunk on
 # its own. It bounds the activations a chunk holds at once: encoding 128
@@ -65,10 +66,11 @@ class Vocabulary:
     tokens: list[str]  # in id order; specials first
 
     def __post_init__(self):
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            raise EncoderError("duplicate tokens in vocabulary")
-        for tok, want in zip(SPECIAL_TOKENS, range(3)):
+        # a token that is not a string gets no index entry, so it fails as a duplicate does
+        self.index = {t: i for i, t in enumerate(self.tokens) if isinstance(t, str)}
+        if len(self.index) != len(self.tokens) or not isinstance(self.tokens, list):
+            raise EncoderError("vocabulary tokens must be a list of distinct strings")
+        for want, tok in enumerate(SPECIAL_TOKENS):
             if self.index.get(tok) != want:
                 raise EncoderError("special tokens missing or misplaced")
 
@@ -540,62 +542,54 @@ def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def _encode_tensor(tensor: np.ndarray) -> str:
-    return base64.b64encode(tensor.astype("<f8", copy=False).tobytes()).decode("ascii")
-
-
 def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
-    """Write config, vocabulary and all parameter tensors as a JSON document.
+    """Write the format-3 JSON document: the encoder keys the model reads, the
+    vocabulary, and `params`, the base64 of params.flat as little-endian
+    float64 bytes, so load(save(m)) reproduces every parameter bit-exactly."""
+    # config.py imports this module, so the config rules are imported here
+    from .config import read_fields
 
-    Each tensor's data is the base64 of its little-endian float64 bytes, so
-    load(save(m)) reproduces every parameter bit-exactly.
-    """
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "config": asdict(model.config),
+        "config": read_fields(model.config, "encoder"),
         "vocab": model.vocab.tokens,
-        "params": {
-            name: {"shape": list(t.shape), "data": _encode_tensor(t)}
-            for name, t in model.params.items()
-        },
+        # one expression, so the raw bytes are freed before the text is made
+        "params": base64.b64encode(
+            model.params.flat.astype("<f8", copy=False).tobytes()
+        ).decode("ascii"),
     }
     with atomic_write(path) as handle:
         json.dump(doc, handle)
 
 
 def load_model(path: str | os.PathLike) -> EncoderModel:
-    """Read a checkpoint written by save_model. Raises EncoderError for a
-    document of another format, a malformed one, or unless its tensor names
-    and shapes are exactly those param_shapes gives for the stored config
-    and vocabulary."""
+    """Read a format-3 checkpoint. Its config passes the run config's checks
+    and holds every key the model reads, and its parameter bytes are exactly
+    the finite float64 vector param_shapes lays out; else an EncoderError."""
+    # config.py imports this module, so the config rules are imported here
+    from .config import _build, _unique_keys, read_fields
+
     try:
         with open_input(path, "checkpoint") as handle:
-            doc = json.load(handle)
-        fmt = doc.get("format", 1)
-        if fmt != CHECKPOINT_FORMAT:
-            raise EncoderError(
-                f"checkpoint {path} has format {fmt!r}; only format "
-                f"{CHECKPOINT_FORMAT} (base64 float64 tensors) is read"
-            )
-        config = EncoderConfig(**doc["config"])
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
+        if (fmt := doc.get("format", 1)) != CHECKPOINT_FORMAT:
+            raise EncoderError(f"checkpoint {path} has format {fmt!r}; only format "
+                               f"{CHECKPOINT_FORMAT} (one base64 float64 vector) is read")
+        config = _build(EncoderConfig, doc["config"], "encoder")
+        # no default may stand in for a key the model reads
+        if missing := read_fields(config, "encoder").keys() - doc["config"].keys():
+            raise ValueError(f"config lacks keys {sorted(missing)} that the model reads")
         vocab = Vocabulary(doc["vocab"])
-        expected = param_shapes(config, len(vocab))
-        stored = {(name, tuple(entry["shape"])) for name, entry in doc["params"].items()}
-        diff = set(expected.items()) ^ stored
-        if diff:
-            raise EncoderError(
-                f"checkpoint {path}: tensors differ from the config: {sorted(diff)}"
-            )
-        # each tensor is decoded straight into its view of one flat vector
-        params = ParamSet(expected)
-        for name, view in params.items():
-            raw = base64.b64decode(doc["params"][name]["data"], validate=True)
-            if len(raw) != 8 * view.size:
-                raise ValueError(f"{len(raw)} data bytes for shape {view.shape}")
-            view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
+        shapes = param_shapes(config, len(vocab))
+        size = sum(map(math.prod, shapes.values()))
+        raw = base64.b64decode(doc["params"], validate=True)
+        if len(raw) != 8 * size:
+            raise ValueError(f"{len(raw)} parameter bytes; the model needs {8 * size}")
+        params = ParamSet(shapes)
+        params.flat[...] = np.frombuffer(raw, dtype="<f8")
     # JSONDecodeError and binascii.Error are ValueErrors; AttributeError is a
     # document that is not a JSON object
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise EncoderError(f"malformed checkpoint {path}: {exc}") from exc
     if not np.isfinite(params.flat).all():
         raise EncoderError(f"non-finite parameters in checkpoint {path}")

@@ -324,10 +324,10 @@ def test_criterion_7_pipeline_determinism(tmp_path):
         )
         outputs[tag] = {
             name: (root / name).read_bytes()
-            for name in ("pairs.tsv", "loss.csv", "emb.tsv", "results.csv")
+            for name in ("pairs.tsv", "model.json", "loss.csv", "emb.tsv", "results.csv")
         }
     assert outputs["run1"] == outputs["run4"]
-    report(7, True, "pairs/loss/embeddings/results byte-identical, threads 1 vs 4")
+    report(7, True, "pairs/checkpoint/loss/embeddings/results byte-identical, threads 1 vs 4")
 
 
 def test_criterion_8_checkpoint_fidelity(tmp_path):

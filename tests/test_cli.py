@@ -3,6 +3,7 @@ import errno
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import sentenc.encoder
 from sentenc.cli import main
 from sentenc.config import load_run_config
 from sentenc.corpus import read_pairs
-from sentenc.encoder import param_shapes
+from sentenc.encoder import EncoderConfig, param_shapes
 from sentenc.errors import ConfigError
 
 
@@ -737,86 +738,113 @@ def _truncate(doc, text):
     return text[: len(text) // 2]
 
 
-def _floats(entry):
-    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+def _floats(params):
+    return np.frombuffer(base64.b64decode(params), dtype="<f8")
 
 
-def _tensor(shape, values):
-    return {"shape": shape, "data": base64.b64encode(values.tobytes()).decode("ascii")}
+def _b64(values):
+    return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
 
 
-def _per_gate_lstm(doc, text):
-    """The layout before the gates were fused: lstm.w{i,f,o,g}, lstm.b{i,f,o,g}."""
-    params = doc["params"]
-    h = params["lstm.b"]["shape"][0] // 4
-    w, b = params.pop("lstm.w"), params.pop("lstm.b")
-    row = w["shape"][1]
-    wdata, bdata = _floats(w), _floats(b)
-    for k, gate in enumerate("ifog"):
-        data = wdata[k * h * row : (k + 1) * h * row]
-        params[f"lstm.w{gate}"] = _tensor([h, row], data)
-        params[f"lstm.b{gate}"] = _tensor([h], bdata[k * h : (k + 1) * h])
-    return json.dumps(doc)
-
-
-def _short_embed(doc, text):
-    embed = doc["params"]["embed"]
-    rows, dim = embed["shape"]
-    doc["params"]["embed"] = _tensor([rows - 1, dim], _floats(embed)[dim:])
-    return json.dumps(doc)
+def _per_tensor(doc, data):
+    """The parameters as one {"shape", "data"} entry per tensor, each tensor's
+    values written by `data`, as formats 1 and 2 stored them."""
+    flat, offset, params = _floats(doc["params"]), 0, {}
+    for name, shape in param_shapes(EncoderConfig(**doc["config"]), len(doc["vocab"])).items():
+        size = math.prod(shape)
+        params[name] = {"shape": list(shape), "data": data(flat[offset : offset + size])}
+        offset += size
+    doc["params"] = params
+    return doc
 
 
 def _list_format(doc, text):
     """The format-1 layout: no "format" field, data as a list of floats."""
     del doc["format"]
-    for entry in doc["params"].values():
-        entry["data"] = _floats(entry).tolist()
-    return json.dumps(doc)
+    return json.dumps(_per_tensor(doc, lambda values: values.tolist()))
+
+
+def _format_2(doc, text):
+    """The format-2 layout: base64 data per tensor."""
+    doc["format"] = 2
+    return json.dumps(_per_tensor(doc, _b64))
 
 
 def _wrong_byte_count(doc, text):
-    embed = doc["params"]["embed"]
-    embed["data"] = base64.b64encode(base64.b64decode(embed["data"])[:-8]).decode("ascii")
+    doc["params"] = _b64(_floats(doc["params"])[:-1])
+    return json.dumps(doc)
+
+
+def _extra_token(doc, text):
+    """A vocabulary one token longer than the parameters' embedding."""
+    doc["vocab"].append("zebra")
     return json.dumps(doc)
 
 
 def _nan_param(doc, text):
-    embed = doc["params"]["embed"]
-    values = _floats(embed).copy()
+    values = _floats(doc["params"]).copy()
     values[0] = np.nan
-    doc["params"]["embed"] = _tensor(embed["shape"], values)
+    doc["params"] = _b64(values)
     return json.dumps(doc)
 
 
 def _not_base64(doc, text):
-    doc["params"]["embed"]["data"] = "*" + doc["params"]["embed"]["data"][1:]
+    doc["params"] = "*" + doc["params"][1:]
+    return json.dumps(doc)
+
+
+def _max_len_fraction(doc, text):
+    doc["config"]["max_len"] = 2.5
+    return json.dumps(doc)
+
+
+def _max_len_missing(doc, text):
+    del doc["config"]["max_len"]
+    return json.dumps(doc)
+
+
+def _lstm_hidden_unread(doc, text):
+    """A mean-pooling model whose config still stores lstm_hidden."""
+    shapes = param_shapes(EncoderConfig(**doc["config"]), len(doc["vocab"]))
+    lstm_size = sum(math.prod(shapes[name]) for name in ("lstm.w", "lstm.b"))
+    doc["config"]["pooling"] = "mean"
+    doc["params"] = _b64(_floats(doc["params"])[:-lstm_size])
+    return json.dumps(doc)
+
+
+def _repeated_key(doc, text):
+    return text.replace('"config": {', '"config": {"max_len": 3, ', 1)
+
+
+def _integer_token(doc, text):
+    doc["vocab"][-1] = 7
     return json.dumps(doc)
 
 
 class TestBadCheckpoint:
     @pytest.mark.parametrize("command", ["encode", "eval"])
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            _truncate,
-            _per_gate_lstm,
-            _short_embed,
-            _list_format,
-            _wrong_byte_count,
-            _not_base64,
-            _nan_param,
-        ],
-        ids=[
-            "truncated_json",
-            "per_gate_lstm",
-            "wrong_embed_shape",
-            "list_format",
-            "wrong_byte_count",
-            "not_base64",
-            "nan_param",
+            pytest.param(_truncate, "malformed checkpoint", id="truncated_json"),
+            pytest.param(_list_format, "has format 1;", id="list_format"),
+            pytest.param(_format_2, "has format 2;", id="format_2"),
+            pytest.param(_wrong_byte_count, "parameter bytes", id="wrong_byte_count"),
+            pytest.param(_extra_token, "parameter bytes", id="extra_token"),
+            pytest.param(_not_base64, "malformed checkpoint", id="not_base64"),
+            pytest.param(_nan_param, "non-finite parameters", id="nan_param"),
+            pytest.param(_max_len_fraction, "encoder.max_len 2.5 must be an integer",
+                         id="max_len_fraction"),
+            pytest.param(_max_len_missing, "config lacks keys ['max_len']", id="max_len_missing"),
+            pytest.param(_lstm_hidden_unread,
+                         "encoder.lstm_hidden 12 is not read when encoder.pooling is 'mean'",
+                         id="lstm_hidden_unread"),
+            pytest.param(_repeated_key, "key 'max_len' is repeated", id="repeated_key"),
+            pytest.param(_integer_token, "vocabulary tokens must be a list of distinct strings",
+                         id="integer_token"),
         ],
     )
-    def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt):
+    def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt, message):
         # the task's files are never read: the corrupt checkpoint fails first
         config = write_config(fixture_corpus, eval={"tasks": [_TASK]})
         assert main(["mine", "--config", str(config)]) == 0
@@ -834,6 +862,7 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
+        assert message in err
 
 
 _EVEN = ["even"] * 30

@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 import tracemalloc
 
@@ -9,6 +11,9 @@ from sentenc.encoder import (
     CHUNK_TOKENS,
     CLS_ID,
     PACK_SIZE,
+    POOLING_STRATEGIES,
+    SPECIAL_TOKENS,
+    UNK_ID,
     EncoderConfig,
     EncoderError,
     LAYER_NORM_EPS,
@@ -31,6 +36,7 @@ from sentenc.encoder import (
     save_model,
     tokenize,
 )
+from sentenc.config import read_fields
 from sentenc.numeric import SeededRng
 
 
@@ -54,12 +60,13 @@ def tiny_model(pooling="mean", vocab=None, seed=3, **kwargs):
 class TestVocabulary:
     def test_min_count_one(self):
         v = build_vocabulary(["a b a"], min_count=1)
-        assert set(v.tokens[3:]) == {"a", "b"}
-        assert v.tokens[3] == "a"  # higher frequency first
+        n = len(SPECIAL_TOKENS)
+        assert set(v.tokens[n:]) == {"a", "b"}
+        assert v.tokens[n] == "a"  # higher frequency first
 
     def test_min_count_two(self):
         v = build_vocabulary(["a b a"], min_count=2)
-        assert v.tokens[3:] == ["a"]
+        assert v.tokens[len(SPECIAL_TOKENS):] == ["a"]
 
     def test_deterministic(self):
         sents = ["z y x", "x y", "y"]
@@ -67,7 +74,18 @@ class TestVocabulary:
 
     def test_rejects_misplaced_specials(self):
         with pytest.raises(EncoderError):
-            Vocabulary(["a", "<pad>", "<unk>", "<cls>"])
+            Vocabulary(["a", *SPECIAL_TOKENS])
+
+    @pytest.mark.parametrize(
+        "token", [7, None, ["a"], {"a": 1}], ids=["int", "null", "list", "object"]
+    )
+    def test_rejects_a_token_that_is_not_a_string(self, token):
+        with pytest.raises(EncoderError, match="distinct strings"):
+            Vocabulary([*SPECIAL_TOKENS, "a", token])
+
+    def test_rejects_tokens_that_are_not_a_list(self):
+        with pytest.raises(EncoderError, match="a list of distinct strings"):
+            Vocabulary(dict.fromkeys([*SPECIAL_TOKENS, "a"]))
 
 
 class TestTokenize:
@@ -80,7 +98,7 @@ class TestTokenize:
 
     def test_unknown_maps_to_unk(self, small_vocab):
         ids = tokenize("xylophone", small_vocab, 16)
-        assert ids == [CLS_ID, 1]
+        assert ids == [CLS_ID, UNK_ID]
 
     def test_truncation(self, small_vocab):
         long_text = " ".join(["cat"] * 200)
@@ -577,10 +595,33 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.config == model.config
+        assert read_fields(loaded.config, "encoder") == read_fields(model.config, "encoder")
         assert loaded.vocab.tokens == model.vocab.tokens
         for name, tensor in model.params.items():
             assert np.array_equal(loaded.params[name], tensor)
+
+    @pytest.mark.parametrize(
+        "pooling, num_blocks",
+        [(p, b) for p in POOLING_STRATEGIES for b in (0, 1) if (p, b) != ("cls", 0)],
+    )
+    def test_round_trip_per_model_shape(self, tmp_path, pooling, num_blocks):
+        # tiny_model sets lstm_hidden and ffn_dim to 16, away from their defaults
+        model = tiny_model(pooling=pooling, num_blocks=num_blocks)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, p1)
+        doc = json.loads(p1.read_text(encoding="utf-8"))
+        read = {"embed_dim", "num_blocks", "pooling", "max_len"}
+        read |= {"lstm_hidden"} if pooling == "lstm" else set()
+        read |= {"ffn_dim"} if num_blocks else set()
+        assert set(doc) == {"format", "config", "vocab", "params"}
+        assert set(doc["config"]) == read
+        assert len(base64.b64decode(doc["params"])) == 8 * model.params.flat.size
+        loaded = load_model(p1)
+        assert read_fields(loaded.config, "encoder") == read_fields(model.config, "encoder")
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        texts = ["the cat sat", "a dog ran high", "", "birds fly", "xylophone now"]
+        assert np.array_equal(encode(texts, loaded), encode(texts, model))
 
     def test_loaded_tensors_are_writable_views_of_flat(self, tmp_path):
         path = tmp_path / "model.json"
