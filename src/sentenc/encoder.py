@@ -579,10 +579,13 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
         # no default may stand in for a key the model reads
         if missing := read_fields(config, "encoder").keys() - doc["config"].keys():
             raise ValueError(f"config lacks keys {sorted(missing)} that the model reads")
+        raw = base64.b64decode(doc["params"], validate=True)
+        # every block holds parameters: too many is refused before any is laid out
+        if config.num_blocks > len(raw) // 8:
+            raise ValueError(f"{config.num_blocks} blocks in {len(raw)} parameter bytes")
         vocab = Vocabulary(doc["vocab"])
         shapes = param_shapes(config, len(vocab))
         size = sum(map(math.prod, shapes.values()))
-        raw = base64.b64decode(doc["params"], validate=True)
         if len(raw) != 8 * size:
             raise ValueError(f"{len(raw)} parameter bytes; the model needs {8 * size}")
         params = ParamSet(shapes)

@@ -1,6 +1,7 @@
 """Paraphrase extraction from a sentence-aligned bilingual corpus.
 
-Stages: group the aligned lines by source sentence, skip each source with
+Stages: count the distinct targets of each source sentence, sources in the
+order of their first line (no line position is kept), skip each source with
 fewer than two distinct targets (it can never give a pair, so it is never
 encoded), similarity-filter the other groups (each source and each distinct
 aligned pair is encoded once, however often its line repeats), then generate
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -160,65 +160,57 @@ def filter_groups(
 ) -> dict[str, list[str]]:
     """Each pairable source's targets whose cross-lingual embedding cosine
     with it is >= threshold: source -> its distinct kept targets in
-    first-seen order, sources in the order of their first kept line.
+    first-seen order, sources in the order of their first line.
 
-    The corpus is read once into `source -> {target: first line}`, and a
-    repeated line only adds to a count. A source with one distinct target
-    can never give a pair: its lines are counted as unpairable and neither
-    side is encoded. Each other source is encoded once, then each of its
-    distinct targets, and one `cosine_similarity` call scores FILTER_CHUNK
-    such pairs. A MiningError from the encoder (a noisy line) is tallied per
-    line, not fatal: a failing source fails every line of its group without
-    its targets being encoded. Anything else breaks the FilterEncoder
-    contract and propagates: any other exception, and a vector whose width
-    differs from another's, within a pair or across pairs.
+    The corpus is read once into `source -> {target: line count}`, so a
+    repeated line only adds to a count and no line position is kept. A
+    source with one distinct target can never give a pair: its lines are
+    counted as unpairable and neither side is encoded. Each other source is
+    encoded once, then each of its distinct targets, and one
+    `cosine_similarity` call scores FILTER_CHUNK such pairs. A MiningError
+    from the encoder (a noisy line) is tallied per line, not fatal: a
+    failing source fails every line of its group without its targets being
+    encoded. Anything else breaks the FilterEncoder contract and propagates:
+    any other exception, and a vector whose width differs from another's,
+    within a pair or across pairs.
     """
     stats = MiningStats() if stats is None else stats
+    # a dict of counts per source, not a Counter: Counter's Python-level
+    # __init__ and __missing__ cost about 2 us per distinct source
     lines: dict[str, dict[str, int]] = {}
-    repeats: Counter[tuple[str, str]] = Counter()
-    for number, pair in enumerate(pairs):
+    for pair in pairs:
         targets = lines.setdefault(pair.source, {})
-        if pair.target in targets:
-            repeats[pair.source, pair.target] += 1
-        else:
-            targets[pair.target] = number
+        targets[pair.target] = targets.get(pair.target, 0) + 1
         stats.input_pairs += 1
-
-    def group_lines(source, targets):
-        return sum(1 + repeats[source, t] for t in targets)
 
     def encoded():
         for source, targets in lines.items():
             if len(targets) < 2:
-                stats.unpairable += group_lines(source, targets)
+                stats.unpairable += sum(targets.values())
                 continue
             try:
                 x = enc(source)
             except MiningError:
-                stats.encoder_failures += group_lines(source, targets)
+                stats.encoder_failures += sum(targets.values())
                 continue
-            for target, first in targets.items():
-                count = 1 + repeats[source, target]
+            for target, count in targets.items():
                 try:
                     y = enc(target)
                 except MiningError:
                     stats.encoder_failures += count
                     continue
-                yield (first, source, target, count), x, y
+                yield source, target, count, x, y
 
-    # source -> (its first kept line, its kept targets); a source's targets
-    # come in first-seen order, so its first kept target gives that line
-    kept: dict[str, tuple[int, list[str]]] = {}
+    kept: dict[str, list[str]] = {}
     rows = encoded()
     while chunk := list(itertools.islice(rows, FILTER_CHUNK)):
-        keys, xs, ys = zip(*chunk)
+        sources, targets, counts, xs, ys = zip(*chunk)
         sims = cosine_similarity(np.array(xs), np.array(ys))
-        for (first, source, target, count), sim in zip(keys, sims):
+        for source, target, count, sim in zip(sources, targets, counts, sims):
             if sim >= threshold:
                 stats.kept_pairs += count
-                kept.setdefault(source, (first, []))[1].append(target)
-    ordered = sorted(kept.items(), key=lambda item: item[1][0])
-    return {source: targets for source, (_, targets) in ordered}
+                kept.setdefault(source, []).append(target)
+    return kept
 
 
 def generate_pairs(targets: list[str], rng: SeededRng) -> list[ParaphrasePair]:

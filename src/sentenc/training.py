@@ -224,21 +224,20 @@ def train(
     `seed` decides the batch order of every epoch. A floating-point overflow
     or invalid operation anywhere in a step is a divergence."""
     rng = SeededRng(seed).substream("training")
-    schedule = [
-        (epoch, batch)
-        for epoch in range(config.epochs)
-        for batch in make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
-    ]
     state = OptimizerState(model.params)
     history: list[StepRecord] = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for step, (epoch, batch_pairs) in enumerate(schedule, start=1):
-                loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
-                lr = lr_schedule(step, len(schedule), config.peak_lr, config.warmup_ratio)
-                adamw_step(model.params, grads, state, lr, config.weight_decay)
-                del grads  # free them before the next batch builds its own
-                history.append(StepRecord(step, epoch, lr, loss))
+            for epoch in range(config.epochs):
+                # built when its epoch starts; every epoch has as many batches
+                batches = make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
+                steps = config.epochs * len(batches)
+                for step, batch_pairs in enumerate(batches, start=len(history) + 1):
+                    loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
+                    lr = lr_schedule(step, steps, config.peak_lr, config.warmup_ratio)
+                    adamw_step(model.params, grads, state, lr, config.weight_decay)
+                    del grads  # free them before the next batch builds its own
+                    history.append(StepRecord(step, epoch, lr, loss))
     except FloatingPointError as exc:
         raise DivergenceError(f"{exc} at step {len(history) + 1}") from exc
     return history

@@ -821,6 +821,16 @@ def _integer_token(doc, text):
     return json.dumps(doc)
 
 
+# more blocks than a checkpoint's parameter bytes could hold
+HUGE_BLOCKS = 10**8
+
+
+def _huge_block_count(doc, text):
+    doc["config"]["num_blocks"] = HUGE_BLOCKS
+    doc["params"] = _b64(np.zeros(3))
+    return json.dumps(doc)
+
+
 class TestBadCheckpoint:
     @pytest.mark.parametrize("command", ["encode", "eval"])
     @pytest.mark.parametrize(
@@ -842,13 +852,26 @@ class TestBadCheckpoint:
             pytest.param(_repeated_key, "key 'max_len' is repeated", id="repeated_key"),
             pytest.param(_integer_token, "vocabulary tokens must be a list of distinct strings",
                          id="integer_token"),
+            pytest.param(_huge_block_count, "100000000 blocks in 24 parameter bytes",
+                         id="huge_block_count"),
         ],
     )
-    def test_exits_1_with_one_line(self, fixture_corpus, capsys, command, corrupt, message):
+    def test_exits_1_with_one_line(self, fixture_corpus, capsys, monkeypatch, command, corrupt,
+                                   message):
         # the task's files are never read: the corrupt checkpoint fails first
         config = write_config(fixture_corpus, eval={"tasks": [_TASK]})
         assert main(["mine", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
+        laid_out = []  # the block counts load_model asks param_shapes for
+
+        def spy_shapes(encoder_config, vocab_size):
+            laid_out.append(encoder_config.num_blocks)
+            # HUGE_BLOCKS is never laid out, even by a load_model that asks
+            if encoder_config.num_blocks == HUGE_BLOCKS:
+                return {}
+            return param_shapes(encoder_config, vocab_size)
+
+        monkeypatch.setattr(sentenc.encoder, "param_shapes", spy_shapes)
         checkpoint = fixture_corpus / "model.json"
         text = checkpoint.read_text(encoding="utf-8")
         checkpoint.write_text(corrupt(json.loads(text), text), encoding="utf-8")
@@ -863,6 +886,7 @@ class TestBadCheckpoint:
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert message in err
+        assert HUGE_BLOCKS not in laid_out
 
 
 _EVEN = ["even"] * 30

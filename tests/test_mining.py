@@ -29,6 +29,12 @@ from sentenc.numeric import NumericError, SeededRng, cosine_similarity
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
+# sources and targets of the filter's order property: some texts are close
+# to each other, and the blank ones fail the n-gram encoder
+PROPERTY_SOURCES = ["the cat sat", "a dog ran", "birds fly south", "  "]
+PROPERTY_TARGETS = ["the cat sat", "the cat sat down", "a dog ran far", "birds fly",
+                    "qwxz vbnm", ""]
+
 MIXED_SCRIPTS = ["some plain text", "zażółć gęślą jaźń", "猫が寝た 猫が", "🐈 tail 🐈‍⬛ 𝔘𝔫𝔦"]
 
 
@@ -235,6 +241,13 @@ def targets_by_source(pairs):
     return targets
 
 
+def first_line_order(groups, pairs):
+    """groups with their sources in the order of each source's first line in
+    pairs."""
+    return {source: groups[source] for source in dict.fromkeys(p.source for p in pairs)
+            if source in groups}
+
+
 def split_unpairable(pairs):
     """The lines whose source has at least two distinct targets, and the
     number of the other lines."""
@@ -246,12 +259,13 @@ def split_unpairable(pairs):
 def assert_filters_alike(pairs, enc, threshold):
     """filter_groups against the reference: the lines of one-target sources
     dropped and counted as unpairable, then the reference filter followed by
-    group_by_source. The same groups in the same order, and every
-    MiningStats field."""
+    group_by_source, sources in the order of their first pairable line. The
+    same groups in the same order, and every MiningStats field."""
     stats, expected_stats = MiningStats(), MiningStats()
     groups = filter_groups(pairs, enc, threshold, stats)
     pairable, unpairable = split_unpairable(pairs)
-    expected = group_by_source(reference_filter(pairable, enc, threshold, expected_stats))
+    kept = reference_filter(pairable, enc, threshold, expected_stats)
+    expected = first_line_order(group_by_source(kept), pairable)
     expected_stats.input_pairs += unpairable
     expected_stats.unpairable = unpairable
     assert list(groups.items()) == list(expected.items())
@@ -426,14 +440,27 @@ class TestChunkedFilter:
                                  "some source", "some source"]
         assert_filters_alike(lines * k, hashed_ngram_encoder(256), 0.5)
 
-    def test_source_ordered_by_first_kept_line(self):
+    def test_source_ordered_by_first_line(self):
+        # the cat's first line is rejected and the dog's kept; the cat's
+        # group still comes first
         enc = hashed_ngram_encoder(256)
         pairs = [AlignedPair("the cat sat on the mat", "qwxz vbnm plo kij"),
                  AlignedPair("a dog ran in the park", "a dog ran in the parks"),
                  AlignedPair("the cat sat on the mat", "the cat sat on the mats"),
                  AlignedPair("a dog ran in the park", "qwxz vbnm plo kij")]
         groups, _ = assert_filters_alike(pairs, enc, 0.7)
-        assert list(groups) == ["a dog ran in the park", "the cat sat on the mat"]
+        assert list(groups.items()) == [("the cat sat on the mat", ["the cat sat on the mats"]),
+                                        ("a dog ran in the park", ["a dog ran in the parks"])]
+
+    @given(st.lists(st.tuples(st.sampled_from(PROPERTY_SOURCES),
+                              st.sampled_from(PROPERTY_TARGETS)), max_size=40),
+           st.sampled_from([0.0, 0.3, 0.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_first_line_order_property(self, lines, threshold):
+        # sampled lines repeat, some sources have one target, and blank
+        # texts fail the encoder
+        pairs = [AlignedPair(source, target) for source, target in lines]
+        assert_filters_alike(pairs, hashed_ngram_encoder(64), threshold)
 
     @pytest.mark.parametrize("name", ["desk", "mine-wide", "encode-ragged"])
     def test_benchmark_corpora_match_reference(self, name, tmp_path, monkeypatch):
@@ -541,10 +568,12 @@ class TestGeneratePairs:
 
 def reference_mine(corpus, enc, threshold, seed):
     """Every line through the reference filter, then the groups of at least
-    two kept targets, each drawing from a stream keyed by its source, and
-    mine's former dedupe: a seen-set of unordered keys plus an output list."""
+    two kept targets, sources in the order of their first line, each drawing
+    from a stream keyed by its source, and mine's former dedupe: a seen-set
+    of unordered keys plus an output list."""
     rng = SeededRng(seed).substream("mining")
-    groups = group_by_source(reference_filter(corpus, enc, threshold, MiningStats()))
+    kept = reference_filter(corpus, enc, threshold, MiningStats())
+    groups = first_line_order(group_by_source(kept), corpus)
     seen, out = set(), []
     for source, targets in groups.items():
         if len(targets) < 2:

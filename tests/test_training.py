@@ -20,6 +20,7 @@ from sentenc.training import (
     TrainConfig,
     _dedupe_positives,
     adamw_step,
+    batch_loss_and_grads,
     lr_schedule,
     make_batches,
     mnr_loss,
@@ -419,6 +420,32 @@ class TestTrain:
         assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
         for name in model_a.params:
             assert np.array_equal(model_a.params[name], model_b.params[name])
+
+    def test_each_epoch_builds_its_batches_when_it_starts(self, monkeypatch):
+        pairs, model = self._setup()
+        events = []
+
+        def spy_batches(pairs, k, rng):
+            batches = make_batches(pairs, k, rng)
+            events.append(("batches", len(batches)))
+            return batches
+
+        def spy_step(batch, model, temperature):
+            events.append("step")
+            return batch_loss_and_grads(batch, model, temperature)
+
+        monkeypatch.setattr(training, "make_batches", spy_batches)
+        monkeypatch.setattr(training, "batch_loss_and_grads", spy_step)
+        cfg = TrainConfig(epochs=3, batch_size=5, warmup_ratio=0.3)
+        history = train(pairs, model, cfg, seed=5)
+        # 12 pairs in batches of 5: the 2-pair tail is kept, so 3 per epoch
+        n = 3
+        assert events == [("batches", n), *["step"] * n] * 3
+        assert [(h.step, h.epoch) for h in history] == [(s, (s - 1) // n) for s in range(1, 10)]
+        # the schedule still spans every epoch's steps
+        assert [h.lr for h in history] == [
+            lr_schedule(s, 3 * n, cfg.peak_lr, cfg.warmup_ratio) for s in range(1, 10)
+        ]
 
     def test_loss_decreases_on_separable_data(self):
         pairs, model = self._setup()
