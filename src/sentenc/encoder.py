@@ -41,6 +41,15 @@ LAYER_NORM_EPS = 1e-5
 # reads, the vocabulary and params.flat; load_model reads only this one.
 CHECKPOINT_FORMAT = 3
 
+# Most float64 values one ParamSet may hold (16 GiB), checked before the
+# vector is allocated, so an oversized width is one config error, not a
+# failed allocation.
+PARAM_CEILING = 2**31
+
+# Parameter bytes base64-encoded per write by save_model: a multiple of 3,
+# so no block but the last ends in "=" padding.
+SAVE_BLOCK_BYTES = 3 * 2**16
+
 # Token rows per chunk of the token layers; a longer sentence is a chunk on
 # its own. It bounds the activations a chunk holds at once: encoding 128
 # sentences of 35-59 tokens peaks at 9.9 MB in chunks of 512 rows and at
@@ -136,7 +145,10 @@ class ParamSet(dict):
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         super().__init__()
-        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if size > PARAM_CEILING:
+            raise ConfigError(f"{size} parameters exceed the ceiling of {PARAM_CEILING}")
+        self.flat = np.zeros(size)
         offset = 0
         for name, shape in shapes.items():
             self[name] = self.flat[offset : offset + math.prod(shape)].reshape(shape)
@@ -545,7 +557,9 @@ def _backward(demb: np.ndarray, cache, model: EncoderModel, grads) -> None:
 def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
     """Write the format-3 JSON document: the encoder keys the model reads, the
     vocabulary, and `params`, the base64 of params.flat as little-endian
-    float64 bytes, so load(save(m)) reproduces every parameter bit-exactly."""
+    float64 bytes, so load(save(m)) reproduces every parameter bit-exactly.
+    The bytes are those of json.dump, but `params` is streamed in blocks of
+    SAVE_BLOCK_BYTES, so no whole-vector copy of it is ever made."""
     # config.py imports this module, so the config rules are imported here
     from .config import read_fields
 
@@ -553,13 +567,17 @@ def save_model(model: EncoderModel, path: str | os.PathLike) -> None:
         "format": CHECKPOINT_FORMAT,
         "config": read_fields(model.config, "encoder"),
         "vocab": model.vocab.tokens,
-        # one expression, so the raw bytes are freed before the text is made
-        "params": base64.b64encode(
-            model.params.flat.astype("<f8", copy=False).tobytes()
-        ).decode("ascii"),
+        "params": "",
     }
+    # the head ends in the opening quote of the last key's empty string
+    head = json.dumps(doc)[: -len('"}')]
+    raw = memoryview(model.params.flat.astype("<f8", copy=False)).cast("B")
     with atomic_write(path) as handle:
-        json.dump(doc, handle)
+        handle.write(head)
+        for start in range(0, len(raw), SAVE_BLOCK_BYTES):
+            block = raw[start : start + SAVE_BLOCK_BYTES]
+            handle.write(base64.b64encode(block).decode("ascii"))
+        handle.write('"}')
 
 
 def load_model(path: str | os.PathLike) -> EncoderModel:

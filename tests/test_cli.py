@@ -17,7 +17,7 @@ import sentenc.encoder
 from sentenc.cli import main
 from sentenc.config import load_run_config
 from sentenc.corpus import read_pairs
-from sentenc.encoder import EncoderConfig, param_shapes
+from sentenc.encoder import PARAM_CEILING, EncoderConfig, param_shapes
 from sentenc.errors import ConfigError
 
 
@@ -51,6 +51,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def _file_bytes(directory):
+    """Every file under `directory`, by relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture
@@ -577,18 +583,41 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 0
         checkpoint = (fixture_corpus / "model.json").read_bytes()
 
-        def dump_then_fail(doc, handle):
-            handle.write('{"config": ')
-            raise OSError(errno.ENOSPC, "No space left on device")
+        # blocks of 24 bytes, so the model is written in many of them
+        monkeypatch.setattr(sentenc.encoder, "SAVE_BLOCK_BYTES", 24)
+        b64encode = sentenc.encoder.base64.b64encode
+        calls = []
 
-        monkeypatch.setattr(sentenc.encoder.json, "dump", dump_then_fail)
+        def encode_then_fail(block):
+            # the head and one block are written when the disk fills up
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return b64encode(block)
+
+        monkeypatch.setattr(sentenc.encoder.base64, "b64encode", encode_then_fail)
         capsys.readouterr()
         assert main(["train", "--config", str(config), "--seed", "7"]) == 1
+        assert calls == [24, 24]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert (fixture_corpus / "model.json").read_bytes() == checkpoint
         assert list(fixture_corpus.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("key", ["embed_dim", "lstm_hidden", "ffn_dim"])
+    def test_oversized_width_exits_2_before_allocating(self, fixture_corpus, capsys, key):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        config = write_config(fixture_corpus, encoder={key: 2**50})
+        files = _file_bytes(fixture_corpus)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"exceed the ceiling of {PARAM_CEILING}" in err
+        assert _file_bytes(fixture_corpus) == files
 
     def test_overflow_exits_3(self, fixture_corpus, capsys):
         config = write_config(fixture_corpus, training={"peak_lr": 1e3})
@@ -922,6 +951,21 @@ class TestEvalCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "config must set at least one task in eval.tasks" in err
         assert not (fixture_corpus / "results.csv").exists()
+
+    def test_oversized_probe_exits_2_before_allocating(self, fixture_corpus, capsys):
+        task = self._write_task(fixture_corpus, "taskA")
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        write_config(fixture_corpus, eval={"tasks": [task], "hidden": 2**50})
+        files = _file_bytes(fixture_corpus)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"exceed the ceiling of {PARAM_CEILING}" in err
+        assert _file_bytes(fixture_corpus) == files
 
     def test_two_tasks_ordered_rows_and_metrics(self, fixture_corpus):
         t1 = self._write_task(fixture_corpus, "taskA", "classification")

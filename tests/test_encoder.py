@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sentenc.encoder
 from sentenc.encoder import (
+    CHECKPOINT_FORMAT,
     CHUNK_TOKENS,
     CLS_ID,
     PACK_SIZE,
+    PARAM_CEILING,
     POOLING_STRATEGIES,
     SPECIAL_TOKENS,
     UNK_ID,
     EncoderConfig,
     EncoderError,
     LAYER_NORM_EPS,
+    ParamSet,
     Vocabulary,
     _backward,
     _forward,
@@ -37,6 +41,7 @@ from sentenc.encoder import (
     tokenize,
 )
 from sentenc.config import read_fields
+from sentenc.errors import ConfigError
 from sentenc.numeric import SeededRng
 
 
@@ -344,6 +349,22 @@ class TestParamSet:
         assert np.all(zeros.flat == 0.0)
         assert all(view.base is zeros.flat for view in zeros.values())
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [{"embed": (2**50, 64)}, {"embed": (6, 2**50)}, {"embed": (6, 8), "lstm.w": (2**52, 2**50)}],
+    )
+    def test_refuses_more_than_the_ceiling_before_allocating(self, shapes):
+        total = sum(math.prod(shape) for shape in shapes.values())
+        with pytest.raises(ConfigError) as info:
+            ParamSet(shapes)
+        assert str(info.value) == f"{total} parameters exceed the ceiling of {PARAM_CEILING}"
+
+    def test_ceiling_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 12)
+        assert ParamSet({"a": (3, 4)}).flat.size == 12
+        with pytest.raises(ConfigError, match="13 parameters exceed the ceiling of 12"):
+            ParamSet({"a": (3, 4), "b": (1,)})
+
 
 # "" is <cls> alone; the rest repeat token lengths (runs) and sum to more
 # than CHUNK_TOKENS rows
@@ -638,3 +659,55 @@ class TestCheckpoint:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _one_string_document(model):
+        """The format-3 document as one json.dumps, params as one base64 string."""
+        raw = model.params.flat.astype("<f8").tobytes()
+        return json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "config": read_fields(model.config, "encoder"),
+            "vocab": model.vocab.tokens,
+            "params": base64.b64encode(raw).decode("ascii"),
+        })
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize(
+        "pooling, num_blocks",
+        [(p, b) for p in POOLING_STRATEGIES for b in (0, 1) if (p, b) != ("cls", 0)],
+    )
+    def test_streamed_bytes_equal_one_string_document(
+        self, tmp_path, monkeypatch, pooling, num_blocks, small_blocks
+    ):
+        vocab = build_vocabulary(["the żółw sat", 'a "dog" ran\\', "birds fly high now"])
+        model = tiny_model(pooling=pooling, num_blocks=num_blocks, vocab=vocab)
+        nbytes = model.params.flat.nbytes
+        if small_blocks:
+            # a few multiples of 3 bytes, one that leaves the last block partial
+            block = next(b for b in (15, 21, 27) if nbytes % b)
+            monkeypatch.setattr(sentenc.encoder, "SAVE_BLOCK_BYTES", block)
+            assert nbytes // block >= 10
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == self._one_string_document(model)
+        # JSON escapes the non-ASCII token, the quote and the backslash
+        assert '"\\u017c\\u00f3\\u0142w"' in text and '"\\""' in text and '"\\\\"' in text
+        assert path.read_bytes() == text.encode("ascii")
+
+    def test_save_holds_no_copy_of_the_parameter_vector(self, tmp_path):
+        # a mine-wide-sized model: 6,308 tokens at width 64, 3.2 MB of parameters
+        tokens = list(SPECIAL_TOKENS) + [f"w{i}" for i in range(6306)]
+        cfg = EncoderConfig(embed_dim=64, num_blocks=0, pooling="mean")
+        model = init_model(cfg, Vocabulary(tokens), SeededRng(5).substream("init"))
+        assert model.params.flat.nbytes >= 3_000_000
+        path = tmp_path / "model.json"
+        save_model(model, path)  # the first call imports sentenc.config
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_text(encoding="utf-8") == self._one_string_document(model)
