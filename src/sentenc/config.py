@@ -2,8 +2,10 @@
 
 Unknown keys are rejected so typos fail loudly, and values are checked at
 load, before any stage runs: first each value against its field's type hint,
-then each section's ranges. All randomness flows from the single master seed
-via named sub-streams; no stage takes a seed of its own.
+then each section's ranges, then the parameter counts of the smallest
+encoder and probe the sizes allow against encoder.PARAM_CEILING. All
+randomness flows from the single master seed via named sub-streams; no stage
+takes a seed of its own.
 """
 
 from __future__ import annotations
@@ -16,9 +18,16 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Literal
 
-from .encoder import EncoderConfig
+from .encoder import (
+    PARAM_CEILING,
+    SPECIAL_TOKENS,
+    EncoderConfig,
+    check_param_count,
+    param_count,
+    param_size,
+)
 from .errors import ConfigError, SentencError
-from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID
+from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID, probe_shapes
 from .mining import MIN_FILTER_DIMENSION, MiningConfig
 from .numeric import check_seed
 from .training import TrainConfig
@@ -37,6 +46,10 @@ class FilterEncoderConfig:
             self.dimension = 512
         if self.type == "hashed_ngram" and self.dimension < MIN_FILTER_DIMENSION:
             raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
+        if self.type == "hashed_ngram" and self.dimension > PARAM_CEILING:
+            raise ConfigError(
+                f"dimension {self.dimension!r} exceeds the ceiling of {PARAM_CEILING}"
+            )
 
 
 @dataclass
@@ -70,6 +83,8 @@ class EvalConfig:
             )
         if self.hidden < 1:
             raise ValueError(f"hidden {self.hidden!r} must be >= 1")
+        check_param_count(param_size(probe_shapes(1, self.hidden, 1)),
+                          " in the smallest probe (1 input, 1 output)")
 
 
 @dataclass
@@ -114,6 +129,8 @@ class RunConfig:
                 "encoder.pooling 'cls' needs encoder.num_blocks >= 1: without "
                 "attention every sentence encodes to the <cls> embedding"
             )
+        check_param_count(param_count(self.encoder, len(SPECIAL_TOKENS)),
+                          f" in the smallest encoder (a {len(SPECIAL_TOKENS)}-token vocabulary)")
 
     def named_paths(self) -> dict[str, str]:
         """Every file path the config sets, keyed by its config key."""

@@ -20,7 +20,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -138,6 +138,17 @@ class EncoderConfig:
         return self.lstm_hidden if self.pooling == "lstm" else self.embed_dim
 
 
+def param_size(shapes: dict[str, tuple[int, ...]]) -> int:
+    """Values in tensors of these shapes."""
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
+def check_param_count(size: int, of: str = "") -> None:
+    """ConfigError if `size` parameters (`of` says whose) exceed PARAM_CEILING."""
+    if size > PARAM_CEILING:
+        raise ConfigError(f"{size} parameters{of} exceed the ceiling of {PARAM_CEILING}")
+
+
 class ParamSet(dict):
     """Named float64 views into one zero-initialised contiguous vector `flat`,
     laid out in the order of `shapes`. Whole-set passes (the optimizer
@@ -145,9 +156,8 @@ class ParamSet(dict):
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         super().__init__()
-        size = sum(math.prod(shape) for shape in shapes.values())
-        if size > PARAM_CEILING:
-            raise ConfigError(f"{size} parameters exceed the ceiling of {PARAM_CEILING}")
+        size = param_size(shapes)
+        check_param_count(size)
         self.flat = np.zeros(size)
         offset = 0
         for name, shape in shapes.items():
@@ -170,19 +180,33 @@ def _glorot(rng: SeededRng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+def _block_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each tensor of one attention block, by its name in the block."""
+    d, f = config.embed_dim, config.ffn_dim
+    shapes = {m: (d, d) for m in ("wq", "wk", "wv", "wo")}
+    shapes.update({"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)})
+    shapes.update({m: (d,) for m in ("ln1_g", "ln1_b", "ln2_g", "ln2_b")})
+    return shapes
+
+
 def param_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor, in checkpoint order. The
     LSTM tensors exist only under lstm pooling; no other pooling reads them."""
-    d, f, h = config.embed_dim, config.ffn_dim, config.lstm_hidden
+    d, h = config.embed_dim, config.lstm_hidden
     shapes = {"embed": (vocab_size, d)}
+    block = _block_shapes(config)
     for b in range(config.num_blocks):
-        shapes.update({f"block{b}.{m}": (d, d) for m in ("wq", "wk", "wv", "wo")})
-        shapes.update({f"block{b}.w1": (d, f), f"block{b}.b1": (f,)})
-        shapes.update({f"block{b}.w2": (f, d), f"block{b}.b2": (d,)})
-        shapes.update({f"block{b}.{m}": (d,) for m in ("ln1_g", "ln1_b", "ln2_g", "ln2_b")})
+        shapes.update({f"block{b}.{m}": shape for m, shape in block.items()})
     if config.pooling == "lstm":
         shapes.update({"lstm.w": (4 * h, d + h), "lstm.b": (4 * h,)})
     return shapes
+
+
+def param_count(config: EncoderConfig, vocab_size: int) -> int:
+    """param_size(param_shapes(config, vocab_size)), with one block's shapes
+    counted once and multiplied, so no loop runs over num_blocks."""
+    blockless = param_shapes(replace(config, num_blocks=0), vocab_size)
+    return param_size(blockless) + config.num_blocks * param_size(_block_shapes(config))
 
 
 def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> EncoderModel:
@@ -242,7 +266,11 @@ def attention_block_forward(
     """Single-head scaled dot-product attention + residual + layer norm +
     position-wise ReLU FFN + residual + layer norm over token rows x (rows, d).
     Each run (row slice, B, T) of B sentences of T tokens attends as one
-    (B, T, d) view; a row in no run gets no attention. Returns (out, cache)."""
+    (B, T, d) view; a row in no run gets no attention. Returns (out, cache).
+    The cache holds x, q, k, v, each run's attention weights, the ReLU output
+    and both layer norms' caches. Backward rebuilds the rest bit-exactly: the
+    attention heads from the weights and v, the first norm's output from its
+    cache, and the ReLU mask from the ReLU output."""
     d = x.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
     q, k, v = (x @ w for w in (wq, wk, wv))
@@ -261,8 +289,7 @@ def attention_block_forward(
     out, ln2_cache = layer_norm_forward(
         norm1 + ffn, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
     )
-    cache = (x, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache)
-    return out, cache
+    return out, (x, q, k, v, attn, runs, hidden, ln1_cache, ln2_cache)
 
 
 def attention_block_backward(
@@ -272,7 +299,7 @@ def attention_block_backward(
     grads: dict[str, np.ndarray],
     prefix: str,
 ) -> np.ndarray:
-    x, q, k, v, attn, runs, heads, norm1, pre_act, hidden, ln1_cache, ln2_cache = cache
+    x, q, k, v, attn, runs, hidden, ln1_cache, ln2_cache = cache
     d = q.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
 
@@ -285,8 +312,10 @@ def attention_block_backward(
     dhidden = dffn @ params[f"{prefix}.w2"].T
     grads[f"{prefix}.w2"] += hidden.T @ dffn
     grads[f"{prefix}.b2"] += dffn.sum(axis=0)
-    dpre = dhidden * (pre_act > 0.0)
+    dpre = dhidden * (hidden > 0.0)  # hidden > 0 exactly where its pre-activation is
     dnorm1 += dpre @ params[f"{prefix}.w1"].T
+    xhat1, _, ln1_g = ln1_cache
+    norm1 = ln1_g * xhat1 + params[f"{prefix}.ln1_b"]  # layer_norm_forward's output
     grads[f"{prefix}.w1"] += norm1.T @ dpre
     grads[f"{prefix}.b1"] += dpre.sum(axis=0)
 
@@ -297,6 +326,9 @@ def attention_block_backward(
     dx = dres1.copy()
 
     dheads = dproj @ wo.T
+    heads = np.zeros_like(dheads)  # the forward's heads, product for product
+    for (rows, bsz, n), a in zip(runs, attn):
+        heads[rows] = (a @ v[rows].reshape(bsz, n, d)).reshape(-1, d)
     grads[f"{prefix}.wo"] += heads.T @ dproj
     dq, dk, dv = (np.zeros_like(dheads) for _ in range(3))
     for (rows, bsz, n), a in zip(runs, attn):
@@ -342,7 +374,9 @@ def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bo
     runs packed (see _pack), so no step touches padding. Returns each
     sentence's hidden state at its own last step, (n, h), and the cache for
     lstm_backward if `keep`, else None: then only the running h and c live
-    across steps."""
+    across steps. The cache holds the step inputs x, the layout, each step's
+    gate activations and cell state; the hidden state entering each step is
+    not kept, since lstm_backward rebuilds it from the gates and cell."""
     w, b = params["lstm.w"], params["lstm.b"]
     d = y.shape[1]
     h_dim = w.shape[0] // 4
@@ -354,7 +388,6 @@ def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bo
     # each step makes its own gates, so without `keep` the pack never holds
     # all of them at once
     gates = np.empty((len(x), 4 * h_dim)) if keep else None
-    h_in = np.empty((len(x), h_dim)) if keep else None  # h entering each step
     cs = np.empty((len(x), h_dim)) if keep else None
     last = np.empty((len(order), h_dim))
     h = c = np.zeros((steps[0], h_dim))
@@ -363,8 +396,6 @@ def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bo
         # gate pre-activations, then activations in place: i, f, o, g row blocks
         a = np.matmul(x[lo : lo + m], wx, out=gates[lo : lo + m] if keep else None)
         a += b
-        if keep:
-            h_in[lo : lo + m] = h[:m]
         a += h[:m] @ wh
         a[:, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-a[:, : 3 * h_dim]))  # sigmoid
         a[:, 3 * h_dim :] = np.tanh(a[:, 3 * h_dim :])
@@ -377,17 +408,20 @@ def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bo
         lo += m
     out = np.empty_like(last)
     out[order] = last
-    return out, ([x, order, steps, ends, gather, gates, h_in, cs] if keep else None)
+    return out, ([x, order, steps, ends, gather, gates, cs] if keep else None)
 
 
 def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
     """Backprop through time of the packed LSTM. Sentence b's upstream
     gradient enters at its own last step, so steps past a sentence's end get
     exact zero gradients. It uses up the cache: each step's gate gradients
-    overwrite its gates, which no earlier step reads, and the cache is
-    emptied so its arrays go when this returns. Returns the gradient of y,
-    in y's layout."""
-    x, order, steps, ends, gather, gates, h_in, cs = cache
+    overwrite its gates, which no earlier step reads; step t+1's rows of the
+    cell states, which no earlier step reads either, take the hidden state
+    entering step t+1, o * tanh(c) of step t, before step t's o is
+    overwritten; the gradient of x overwrites x once the weight gradient has
+    read it; and the cache is emptied so its arrays go when this returns.
+    Returns the gradient of y, in y's layout."""
+    x, order, steps, ends, gather, gates, cs = cache
     cache.clear()
     w = params["lstm.w"]
     d = x.shape[1]
@@ -404,6 +438,8 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
         i, f, o, g = np.split(da_t, 4, axis=1)
         tanh_c = np.tanh(cs[lo : lo + m])
         c_prev = cs[offsets[t - 1] : offsets[t - 1] + m] if t else 0.0
+        if t + 1 < len(steps):  # the forward's h = o * tanh(c), bit for bit
+            cs[offsets[t + 1] : offsets[t + 1] + steps[t + 1]] = (o * tanh_c)[: steps[t + 1]]
         dc_t = dc[:m] + dh[:m] * o * (1.0 - tanh_c**2)
         di = dc_t * g * i * (1.0 - i)
         g[...] = dc_t * i * (1.0 - g**2)
@@ -412,14 +448,15 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
         dc[:m] = dc_t * f
         f[...] = dc_t * c_prev * f * (1.0 - f)
         dh[:m] = da_t @ wh
+    cs[: steps[0]] = 0.0  # h_0; cs now holds the h entering each step
     da = gates
     grads["lstm.w"][:, :d] += da.T @ x
-    grads["lstm.w"][:, d:] += da.T @ h_in
+    grads["lstm.w"][:, d:] += da.T @ cs
     grads["lstm.b"] += da.sum(axis=0)
     # ends[t] sentences run at step t, so ends sums to the token count; the
     # gradient of the zeros fed to rows past their end lands in a dropped row
     dy = np.zeros((ends.sum() + 1, d))
-    dy[gather] = da @ w[:, :d]
+    dy[gather] = np.matmul(da, w[:, :d], out=x)
     return dy[:-1]
 
 
@@ -603,7 +640,7 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
             raise ValueError(f"{config.num_blocks} blocks in {len(raw)} parameter bytes")
         vocab = Vocabulary(doc["vocab"])
         shapes = param_shapes(config, len(vocab))
-        size = sum(map(math.prod, shapes.values()))
+        size = param_size(shapes)
         if len(raw) != 8 * size:
             raise ValueError(f"{len(raw)} parameter bytes; the model needs {8 * size}")
         params = ParamSet(shapes)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,13 @@ import sentenc.encoder
 from sentenc.cli import main
 from sentenc.config import load_run_config
 from sentenc.corpus import read_pairs
-from sentenc.encoder import PARAM_CEILING, EncoderConfig, param_shapes
+from sentenc.encoder import (
+    PARAM_CEILING,
+    SPECIAL_TOKENS,
+    EncoderConfig,
+    param_count,
+    param_shapes,
+)
 from sentenc.errors import ConfigError
 
 
@@ -508,6 +515,75 @@ def test_cls_without_blocks_is_refused_at_load(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"encoder": {"pooling": "cls", "num_blocks": 0}}), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"encoder.pooling 'cls' needs encoder.num_blocks >= 1"):
+        load_run_config(path)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the command ran past its alarm")
+
+
+# each size is far beyond a 47-bit address space, so numpy refuses it at once
+# if a guard is missing; num_blocks 2**50 would loop in param_shapes instead
+@pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        pytest.param({"filter_encoder": {"dimension": 2**50}},
+                     f"filter_encoder: dimension {2**50} exceeds the ceiling",
+                     id="filter_dimension"),
+        pytest.param({"encoder": {"num_blocks": 2**50}},
+                     "parameters in the smallest encoder (a 2-token vocabulary) exceed the ceiling",
+                     id="num_blocks"),
+        pytest.param({"eval": {"hidden": 2**50}},
+                     f"eval: {3 * 2**50 + 1} parameters in the smallest probe", id="eval_hidden"),
+    ],
+)
+def test_oversized_setting_exits_2_at_load(fixture_corpus, capsys, command, override, named):
+    config = write_config(fixture_corpus, **override)
+    argv = [command, "--config", str(config)]
+    if command == "encode":
+        (fixture_corpus / "input.txt").write_text("target 0 variant 1\n", encoding="utf-8")
+        argv += ["--input", str(fixture_corpus / "input.txt"),
+                 "--output", str(fixture_corpus / "emb.tsv")]
+    files = _file_bytes(fixture_corpus)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(2)  # a refusal at load takes milliseconds
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err and f"the ceiling of {PARAM_CEILING}" in err
+    assert _file_bytes(fixture_corpus) == files
+
+
+def test_smallest_encoder_at_the_ceiling_loads(tmp_path, monkeypatch):
+    """The load-time bound counts the model of a vocabulary of the special
+    tokens alone: exactly the ceiling loads, one more parameter does not."""
+    encoder = {"embed_dim": 8, "num_blocks": 3, "ffn_dim": 8, "lstm_hidden": 8}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"encoder": encoder, "eval": {"hidden": 1}}), encoding="utf-8")
+    smallest = param_count(EncoderConfig(**encoder), len(SPECIAL_TOKENS))
+    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", smallest)
+    assert load_run_config(path).encoder.num_blocks == 3
+    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", smallest - 1)
+    with pytest.raises(ConfigError, match=f"{smallest} parameters in the smallest encoder"):
+        load_run_config(path)
+
+
+def test_smallest_probe_at_the_ceiling_loads(tmp_path, monkeypatch):
+    """The smallest probe has one input and one output: 3 * hidden + 1 values."""
+    path = tmp_path / "config.json"
+    encoder = {"embed_dim": 1, "num_blocks": 0, "pooling": "mean"}  # 2 parameters
+    path.write_text(json.dumps({"encoder": encoder, "eval": {"hidden": 40}}), encoding="utf-8")
+    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 121)
+    assert load_run_config(path).eval.hidden == 40
+    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 120)
+    with pytest.raises(ConfigError, match="121 parameters in the smallest probe"):
         load_run_config(path)
 
 

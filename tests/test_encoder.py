@@ -34,6 +34,7 @@ from sentenc.encoder import (
     load_model,
     lstm_backward,
     lstm_forward,
+    param_count,
     param_shapes,
     pool,
     pool_backward,
@@ -358,6 +359,15 @@ class TestParamSet:
         with pytest.raises(ConfigError) as info:
             ParamSet(shapes)
         assert str(info.value) == f"{total} parameters exceed the ceiling of {PARAM_CEILING}"
+
+    @pytest.mark.parametrize("num_blocks", [0, 1, 3])
+    @pytest.mark.parametrize("pooling", POOLING_STRATEGIES)
+    def test_param_count_is_the_size_param_shapes_lays_out(self, pooling, num_blocks):
+        cfg = EncoderConfig(embed_dim=6, num_blocks=num_blocks, ffn_dim=10,
+                            pooling=pooling, lstm_hidden=7)
+        for vocab_size in (2, 13):
+            shapes = param_shapes(cfg, vocab_size)
+            assert param_count(cfg, vocab_size) == sum(map(math.prod, shapes.values()))
 
     def test_ceiling_itself_is_allowed(self, monkeypatch):
         monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 12)

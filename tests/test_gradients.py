@@ -154,3 +154,26 @@ class TestFullLossGradient:
 
         fd = finite_difference_grad(loss_fn, model, 1e-5)
         assert max_relative_error(analytic, fd) < 1e-3
+
+    # 1, 2, 4 and 7 words: the LSTM's row count shrinks at several steps, so
+    # lstm_backward rebuilds each step's incoming h from rows of every size,
+    # and both blocks rebuild their first norm's output and their heads
+    def test_lstm_two_blocks_ragged_batch(self):
+        texts = ["fish", "the cat", "a dog ran fast", "birds fly high over the deep sea"]
+        vocab = build_vocabulary(texts)
+        cfg = EncoderConfig(
+            embed_dim=6, num_blocks=2, ffn_dim=8, pooling="lstm", lstm_hidden=5, max_len=16
+        )
+        model = init_model(cfg, vocab, SeededRng(4).substream("init"))
+        # off the init, where every layer-norm bias is 0 and each gain 1
+        model.params.flat += SeededRng(5).uniform(-0.2, 0.2, model.params.flat.size)
+        pairs = [ParaphrasePair(texts[0], texts[3]), ParaphrasePair(texts[2], texts[1])]
+        _, analytic = batch_loss_and_grads(pairs, model, 0.5)
+
+        def loss_fn(m):
+            a, b = encode([p.a for p in pairs], m), encode([p.b for p in pairs], m)
+            return mnr_loss(similarity_matrix(a, b, 0.5)[0])
+
+        fd = finite_difference_grad(loss_fn, model, 1e-5)
+        assert all(np.any(g != 0.0) for g in analytic.values())
+        assert max_relative_error(analytic, fd) < 1e-3

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -453,3 +454,29 @@ class TestTrain:
         first = np.mean([h.loss for h in history if h.epoch == 0])
         last = np.mean([h.loss for h in history if h.epoch == 3])
         assert last < first
+
+
+class TestBatchTape:
+    def test_one_batch_peak_holds_no_rebuildable_activation(self):
+        """16 pairs of 3-60 words through lstm pooling and one block (d=64,
+        h=128, ffn=128). The attention caches keep neither the heads, the
+        first norm's output nor the ReLU's input, and the LSTM cache keeps no
+        incoming h, since backward rebuilds each bit-exactly. The second call
+        peaks at 14.1 MB; keeping those arrays would take it to 18.1 MB."""
+        rng = SeededRng(0)
+        lengths = [rng.integers(3, 61) for _ in range(32)]
+        texts = [" ".join(f"word{(7 * i + j) % 500}" for j in range(n)) + "."
+                 for i, n in enumerate(lengths)]
+        pairs = [ParaphrasePair(texts[2 * i], texts[2 * i + 1]) for i in range(16)]
+        cfg = EncoderConfig(
+            embed_dim=64, num_blocks=1, ffn_dim=128, pooling="lstm", lstm_hidden=128, max_len=64
+        )
+        model = init_model(cfg, build_vocabulary(texts), SeededRng(7).substream("init"))
+        batch_loss_and_grads(pairs, model, 0.05)  # the first call imports and warms up
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(pairs, model, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
