@@ -3,9 +3,10 @@
 Unknown keys are rejected so typos fail loudly, and values are checked at
 load, before any stage runs: first each value against its field's type hint,
 then each section's ranges, then the parameter counts of the smallest
-encoder and probe the sizes allow against encoder.PARAM_CEILING. All
-randomness flows from the single master seed via named sub-streams; no stage
-takes a seed of its own.
+encoder and probe the sizes allow against encoder.PARAM_CEILING and the
+encoder's tensor count against encoder.TENSOR_CEILING. All randomness
+flows from the single master seed via named sub-streams; no stage takes a
+seed of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .encoder import (
     SPECIAL_TOKENS,
     EncoderConfig,
     check_param_count,
+    check_tensor_count,
     param_count,
     param_size,
 )
@@ -131,6 +133,7 @@ class RunConfig:
             )
         check_param_count(param_count(self.encoder, len(SPECIAL_TOKENS)),
                           f" in the smallest encoder (a {len(SPECIAL_TOKENS)}-token vocabulary)")
+        check_tensor_count(self.encoder)
 
     def named_paths(self) -> dict[str, str]:
         """Every file path the config sets, keyed by its config key."""

@@ -46,20 +46,25 @@ CHECKPOINT_FORMAT = 3
 # failed allocation.
 PARAM_CEILING = 2**31
 
+# Most named tensors one model may hold. Each costs about 1 KB (its name, view
+# and shape) beside its values, so this bounds what param_shapes builds for a
+# large num_blocks, at 12 tensors a block, before any value is counted.
+TENSOR_CEILING = 2**20
+
 # Parameter bytes base64-encoded per write by save_model: a multiple of 3,
 # so no block but the last ends in "=" padding.
 SAVE_BLOCK_BYTES = 3 * 2**16
 
 # Token rows per chunk of the token layers; a longer sentence is a chunk on
 # its own. It bounds the activations a chunk holds at once: encoding 128
-# sentences of 35-59 tokens peaks at 9.9 MB in chunks of 512 rows and at
-# 57 MB as one chunk per pack.
+# sentences of 35-59 tokens peaks at 6.9 MB in chunks of 512 rows and at
+# 49 MB as one chunk per pack.
 CHUNK_TOKENS = 512
 
 # Sentences per pack, the unit the LSTM runs one time loop over. It bounds
 # the pack's token rows and per-step (rows, 4 * lstm_hidden) temporaries:
-# encoding 1,000 ten-token sentences peaks at 6.2 MB in packs of 128 and at
-# 32 MB as one pack.
+# encoding 1,000 ten-token sentences peaks at 5.5 MB in packs of 128 and at
+# 26 MB as one pack.
 PACK_SIZE = 128
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -209,6 +214,16 @@ def param_count(config: EncoderConfig, vocab_size: int) -> int:
     return param_size(blockless) + config.num_blocks * param_size(_block_shapes(config))
 
 
+def check_tensor_count(config: EncoderConfig) -> None:
+    """ConfigError if param_shapes(config, ...) would name more than
+    TENSOR_CEILING tensors, counted without building them."""
+    blockless = len(param_shapes(replace(config, num_blocks=0), len(SPECIAL_TOKENS)))
+    tensors = blockless + config.num_blocks * len(_block_shapes(config))
+    if tensors > TENSOR_CEILING:
+        raise ConfigError(f"{config.num_blocks} blocks make {tensors} tensors, over "
+                          f"the ceiling of {TENSOR_CEILING}")
+
+
 def init_model(config: EncoderConfig, vocab: Vocabulary, rng: SeededRng) -> EncoderModel:
     """Seeded uniform(-a, a) init with a = sqrt(6/(fan_in+fan_out)) per matrix,
     each drawn from the sub-stream its dotted name spells (`block0.wq` from
@@ -267,10 +282,11 @@ def attention_block_forward(
     position-wise ReLU FFN + residual + layer norm over token rows x (rows, d).
     Each run (row slice, B, T) of B sentences of T tokens attends as one
     (B, T, d) view; a row in no run gets no attention. Returns (out, cache).
-    The cache holds x, q, k, v, each run's attention weights, the ReLU output
-    and both layer norms' caches. Backward rebuilds the rest bit-exactly: the
-    attention heads from the weights and v, the first norm's output from its
-    cache, and the ReLU mask from the ReLU output."""
+    The cache, a list for attention_block_backward to use up, holds x, each
+    run's attention weights, the runs and both layer norms' caches. Backward
+    rebuilds the rest bit-exactly with the forward's own products on the same
+    operands: q, k and v from x, the first norm's output from its cache, the
+    ReLU output from that, and the heads from the weights and v."""
     d = x.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
     q, k, v = (x @ w for w in (wq, wk, wv))
@@ -283,13 +299,12 @@ def attention_block_forward(
     norm1, ln1_cache = layer_norm_forward(
         res1, params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"]
     )
-    pre_act = norm1 @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
-    hidden = np.maximum(pre_act, 0.0)
+    hidden = np.maximum(norm1 @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"], 0.0)
     ffn = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
     out, ln2_cache = layer_norm_forward(
         norm1 + ffn, params[f"{prefix}.ln2_g"], params[f"{prefix}.ln2_b"]
     )
-    return out, (x, q, k, v, attn, runs, hidden, ln1_cache, ln2_cache)
+    return out, [x, attn, runs, ln1_cache, ln2_cache]
 
 
 def attention_block_backward(
@@ -299,51 +314,69 @@ def attention_block_backward(
     grads: dict[str, np.ndarray],
     prefix: str,
 ) -> np.ndarray:
-    x, q, k, v, attn, runs, hidden, ln1_cache, ln2_cache = cache
-    d = q.shape[1]
+    """Gradient of x; adds the block's parameter gradients to `grads`. It uses
+    up the cache: each rebuilt array is made just before its first read and
+    dropped at its last, each run's softmax gradient overwrites its attention
+    weights, and each residual's gradient takes the gradient of the branch
+    beside it once nothing else reads it."""
+    x, attn, runs, ln1_cache, ln2_cache = cache
+    cache.clear()
+    d = x.shape[1]
     wq, wk, wv, wo = (params[f"{prefix}.{m}"] for m in ("wq", "wk", "wv", "wo"))
+    w1, w2 = params[f"{prefix}.w1"], params[f"{prefix}.w2"]
 
     dres2, dg2, db2 = layer_norm_backward(dout, ln2_cache)
+    del ln2_cache
     grads[f"{prefix}.ln2_g"] += dg2
     grads[f"{prefix}.ln2_b"] += db2
-    dffn = dres2
-    dnorm1 = dres2.copy()
 
-    dhidden = dffn @ params[f"{prefix}.w2"].T
-    grads[f"{prefix}.w2"] += hidden.T @ dffn
-    grads[f"{prefix}.b2"] += dffn.sum(axis=0)
-    dpre = dhidden * (hidden > 0.0)  # hidden > 0 exactly where its pre-activation is
-    dnorm1 += dpre @ params[f"{prefix}.w1"].T
     xhat1, _, ln1_g = ln1_cache
     norm1 = ln1_g * xhat1 + params[f"{prefix}.ln1_b"]  # layer_norm_forward's output
+    del xhat1
+    hidden = norm1 @ w1 + params[f"{prefix}.b1"]
+    np.maximum(hidden, 0.0, out=hidden)  # the forward's ReLU output
+    grads[f"{prefix}.w2"] += hidden.T @ dres2
+    grads[f"{prefix}.b2"] += dres2.sum(axis=0)
+    dpre = dres2 @ w2.T
+    dpre *= hidden > 0.0  # hidden > 0 exactly where its pre-activation is
+    del hidden
+    dres2 += dpre @ w1.T  # now the gradient of norm1
     grads[f"{prefix}.w1"] += norm1.T @ dpre
     grads[f"{prefix}.b1"] += dpre.sum(axis=0)
+    del norm1, dpre
 
-    dres1, dg1, db1 = layer_norm_backward(dnorm1, ln1_cache)
+    dres1, dg1, db1 = layer_norm_backward(dres2, ln1_cache)
+    del dres2, ln1_cache
     grads[f"{prefix}.ln1_g"] += dg1
     grads[f"{prefix}.ln1_b"] += db1
-    dproj = dres1
-    dx = dres1.copy()
 
-    dheads = dproj @ wo.T
-    heads = np.zeros_like(dheads)  # the forward's heads, product for product
+    v = x @ wv
+    heads = np.zeros_like(v)  # the forward's heads, product for product
     for (rows, bsz, n), a in zip(runs, attn):
         heads[rows] = (a @ v[rows].reshape(bsz, n, d)).reshape(-1, d)
-    grads[f"{prefix}.wo"] += heads.T @ dproj
-    dq, dk, dv = (np.zeros_like(dheads) for _ in range(3))
+    grads[f"{prefix}.wo"] += heads.T @ dres1
+    del heads
+    dheads = dres1 @ wo.T
+    dv = np.zeros_like(v)
     for (rows, bsz, n), a in zip(runs, attn):
-        qr, kr, vr, dh = (m[rows].reshape(bsz, n, d) for m in (q, k, v, dheads))
+        vr, dh = (m[rows].reshape(bsz, n, d) for m in (v, dheads))
         dattn = dh @ vr.transpose(0, 2, 1)
         dv[rows] = (a.transpose(0, 2, 1) @ dh).reshape(-1, d)
-        # rowwise softmax Jacobian
-        dscores = a * (dattn - (dattn * a).sum(axis=2, keepdims=True))
+        # rowwise softmax Jacobian; a becomes the gradient of the scores
+        a *= dattn - (dattn * a).sum(axis=2, keepdims=True)
+    del v, dheads
+    q, k = x @ wq, x @ wk
+    dq, dk = np.zeros_like(q), np.zeros_like(k)
+    for (rows, bsz, n), dscores in zip(runs, attn):
+        qr, kr = (m[rows].reshape(bsz, n, d) for m in (q, k))
         dq[rows] = ((dscores @ kr) / np.sqrt(d)).reshape(-1, d)
         dk[rows] = ((dscores.transpose(0, 2, 1) @ qr) / np.sqrt(d)).reshape(-1, d)
-    dx += dq @ wq.T + dk @ wk.T + dv @ wv.T
+    del q, k, attn
+    dres1 += dq @ wq.T + dk @ wk.T + dv @ wv.T  # now the gradient of x
     grads[f"{prefix}.wq"] += x.T @ dq
     grads[f"{prefix}.wk"] += x.T @ dk
     grads[f"{prefix}.wv"] += x.T @ dv
-    return dx
+    return dres1
 
 
 def _pack(lengths: np.ndarray):
@@ -373,28 +406,35 @@ def lstm_forward(y: np.ndarray, lengths, params: dict[str, np.ndarray], keep: bo
     (sum(lengths), d) holds each sentence's token vectors in turn. The batch
     runs packed (see _pack), so no step touches padding. Returns each
     sentence's hidden state at its own last step, (n, h), and the cache for
-    lstm_backward if `keep`, else None: then only the running h and c live
-    across steps. The cache holds the step inputs x, the layout, each step's
-    gate activations and cell state; the hidden state entering each step is
-    not kept, since lstm_backward rebuilds it from the gates and cell."""
+    lstm_backward if `keep`, else None: then each step gathers its own inputs
+    from y, and only they and the running h and c live across a step. The
+    cache holds the step inputs x, time-major, the layout, each step's gate
+    activations and cell state; the hidden state entering each step is not
+    kept, since lstm_backward rebuilds it from the gates and cell."""
     w, b = params["lstm.w"], params["lstm.b"]
     d = y.shape[1]
     h_dim = w.shape[0] // 4
     order, steps, ends, gather = _pack(np.asarray(lengths))
     wx = np.ascontiguousarray(w[:, :d].T)
     wh = np.ascontiguousarray(w[:, d:].T)
-    x = np.take(y, gather, axis=0, mode="clip")
-    x[gather == len(y)] = 0.0
+
+    def inputs(picks):  # rows of y, and zeros for a row past its end
+        rows = np.take(y, picks, axis=0, mode="clip")
+        rows[picks == len(y)] = 0.0
+        return rows
+
+    x = inputs(gather) if keep else None
     # each step makes its own gates, so without `keep` the pack never holds
     # all of them at once
-    gates = np.empty((len(x), 4 * h_dim)) if keep else None
-    cs = np.empty((len(x), h_dim)) if keep else None
+    gates = np.empty((len(gather), 4 * h_dim)) if keep else None
+    cs = np.empty((len(gather), h_dim)) if keep else None
     last = np.empty((len(order), h_dim))
     h = c = np.zeros((steps[0], h_dim))
     lo = 0
     for t, m in enumerate(steps):
+        x_t = x[lo : lo + m] if keep else inputs(gather[lo : lo + m])
         # gate pre-activations, then activations in place: i, f, o, g row blocks
-        a = np.matmul(x[lo : lo + m], wx, out=gates[lo : lo + m] if keep else None)
+        a = np.matmul(x_t, wx, out=gates[lo : lo + m] if keep else None)
         a += b
         a += h[:m] @ wh
         a[:, : 3 * h_dim] = 1.0 / (1.0 + np.exp(-a[:, : 3 * h_dim]))  # sigmoid
@@ -418,9 +458,12 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
     overwrite its gates, which no earlier step reads; step t+1's rows of the
     cell states, which no earlier step reads either, take the hidden state
     entering step t+1, o * tanh(c) of step t, before step t's o is
-    overwritten; the gradient of x overwrites x once the weight gradient has
-    read it; and the cache is emptied so its arrays go when this returns.
-    Returns the gradient of y, in y's layout."""
+    overwritten; the recurrent weights' gradient is written into their
+    contiguous copy, which only the step loop reads, and it and the hidden
+    states go before the input weights' gradient is made; the gradient of x
+    overwrites x once that gradient has read it; and the cache is emptied so
+    its arrays go at their last reads. Returns the gradient of y, in y's
+    layout."""
     x, order, steps, ends, gather, gates, cs = cache
     cache.clear()
     w = params["lstm.w"]
@@ -450,8 +493,9 @@ def lstm_backward(dh_last: np.ndarray, cache, params, grads) -> np.ndarray:
         dh[:m] = da_t @ wh
     cs[: steps[0]] = 0.0  # h_0; cs now holds the h entering each step
     da = gates
+    grads["lstm.w"][:, d:] += np.matmul(da.T, cs, out=wh)  # wh is spent
+    del wh, cs
     grads["lstm.w"][:, :d] += da.T @ x
-    grads["lstm.w"][:, d:] += da.T @ cs
     grads["lstm.b"] += da.sum(axis=0)
     # ends[t] sentences run at step t, so ends sums to the token count; the
     # gradient of the zeros fed to rows past their end lands in a dropped row
@@ -638,6 +682,7 @@ def load_model(path: str | os.PathLike) -> EncoderModel:
         # every block holds parameters: too many is refused before any is laid out
         if config.num_blocks > len(raw) // 8:
             raise ValueError(f"{config.num_blocks} blocks in {len(raw)} parameter bytes")
+        check_tensor_count(config)
         vocab = Vocabulary(doc["vocab"])
         shapes = param_shapes(config, len(vocab))
         size = param_size(shapes)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import ParaphrasePair, atomic_write
 from .encoder import EncoderModel, ParamSet, _backward, encode
-from .errors import DivergenceError, NumericError
+from .errors import ConfigError, DivergenceError, NumericError
 from .numeric import SeededRng, logsumexp, softmax, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Most optimizer steps one train call may take, epochs times batches per
+# epoch, checked before step 1: the loss history keeps a record of each step.
+STEP_CEILING = 2**20
 
 # Elements per AdamW pass: the scratch vectors stay this small however large
 # the model is, while each numpy call still covers many elements.
@@ -222,7 +226,14 @@ def train(
 ) -> list[StepRecord]:
     """Fine-tune the model in place; returns the per-step loss history.
     `seed` decides the batch order of every epoch. A floating-point overflow
-    or invalid operation anywhere in a step is a divergence."""
+    or invalid operation anywhere in a step is a divergence. More than
+    STEP_CEILING steps in all is a ConfigError before the first."""
+    k = config.batch_size
+    batches_per_epoch = len(pairs) // k + (len(pairs) % k >= 2)  # as make_batches cuts
+    steps = config.epochs * batches_per_epoch
+    if steps > STEP_CEILING:
+        raise ConfigError(f"training.epochs {config.epochs} of {batches_per_epoch} batches "
+                          f"make {steps} steps, over the ceiling of {STEP_CEILING}")
     rng = SeededRng(seed).substream("training")
     state = OptimizerState(model.params)
     history: list[StepRecord] = []
@@ -230,8 +241,7 @@ def train(
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(config.epochs):
                 # built when its epoch starts; every epoch has as many batches
-                batches = make_batches(pairs, config.batch_size, rng.substream(f"epoch{epoch}"))
-                steps = config.epochs * len(batches)
+                batches = make_batches(pairs, k, rng.substream(f"epoch{epoch}"))
                 for step, batch_pairs in enumerate(batches, start=len(history) + 1):
                     loss, grads = batch_loss_and_grads(batch_pairs, model, config.temperature)
                     lr = lr_schedule(step, steps, config.peak_lr, config.warmup_ratio)

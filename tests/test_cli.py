@@ -21,11 +21,13 @@ from sentenc.corpus import read_pairs
 from sentenc.encoder import (
     PARAM_CEILING,
     SPECIAL_TOKENS,
+    TENSOR_CEILING,
     EncoderConfig,
     param_count,
     param_shapes,
 )
 from sentenc.errors import ConfigError
+from sentenc.training import STEP_CEILING
 
 
 def write_config(tmp_path, **overrides):
@@ -546,19 +548,60 @@ def test_oversized_setting_exits_2_at_load(fixture_corpus, capsys, command, over
         argv += ["--input", str(fixture_corpus / "input.txt"),
                  "--output", str(fixture_corpus / "emb.tsv")]
     files = _file_bytes(fixture_corpus)
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(2)  # a refusal at load takes milliseconds
-    try:
-        code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == 2
+    assert _main_under_alarm(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert named in err and f"the ceiling of {PARAM_CEILING}" in err
     assert _file_bytes(fixture_corpus) == files
+
+
+def _main_under_alarm(argv) -> int:
+    """main(argv), failed by an alarm after 2 s: a refusal takes milliseconds."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(2)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 10**8 one-wide blocks hold 12 values each, under PARAM_CEILING, but would
+# name 1.2e9 tensors; they are only counted, never built
+_MANY_BLOCKS = {"embed_dim": 1, "num_blocks": 10**8, "ffn_dim": 1, "lstm_hidden": 1}
+
+
+@pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
+def test_tensor_count_over_the_ceiling_exits_2_at_load(fixture_corpus, capsys, command):
+    assert param_count(EncoderConfig(**_MANY_BLOCKS), len(SPECIAL_TOKENS)) < PARAM_CEILING
+    config = write_config(fixture_corpus, encoder=_MANY_BLOCKS)
+    argv = [command, "--config", str(config)]
+    if command == "encode":
+        (fixture_corpus / "input.txt").write_text("target 0 variant 1\n", encoding="utf-8")
+        argv += ["--input", str(fixture_corpus / "input.txt"),
+                 "--output", str(fixture_corpus / "emb.tsv")]
+    files = _file_bytes(fixture_corpus)
+    assert _main_under_alarm(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    tensors = 12 * 10**8 + 3  # the embedding, 12 a block and the LSTM's two
+    assert f"100000000 blocks make {tensors} tensors, over the ceiling of {TENSOR_CEILING}" in err
+    assert _file_bytes(fixture_corpus) == files
+
+
+def test_tensor_count_at_the_ceiling_loads(tmp_path, monkeypatch):
+    """Three lstm-pooled blocks name 39 tensors: the embedding, 12 a block
+    and the LSTM's two."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"encoder": {"num_blocks": 3}}), encoding="utf-8")
+    assert len(param_shapes(load_run_config(path).encoder, len(SPECIAL_TOKENS))) == 39
+    monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 39)
+    assert load_run_config(path).encoder.num_blocks == 3
+    monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 38)
+    with pytest.raises(ConfigError, match="3 blocks make 39 tensors, over the ceiling of 38"):
+        load_run_config(path)
 
 
 def test_smallest_encoder_at_the_ceiling_loads(tmp_path, monkeypatch):
@@ -693,6 +736,21 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"exceed the ceiling of {PARAM_CEILING}" in err
+        assert _file_bytes(fixture_corpus) == files
+
+    def test_step_count_over_the_ceiling_exits_2_before_step_1(self, fixture_corpus, capsys):
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        config = write_config(fixture_corpus, training={"epochs": 2**50})
+        files = _file_bytes(fixture_corpus)
+        capsys.readouterr()
+        assert _main_under_alarm(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        # 6 mined pairs in batches of 4 make 2 batches an epoch
+        assert (f"training.epochs {2**50} of 2 batches make {2**51} steps, over the ceiling "
+                f"of {STEP_CEILING}") in err
         assert _file_bytes(fixture_corpus) == files
 
     def test_overflow_exits_3(self, fixture_corpus, capsys):

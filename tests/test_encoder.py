@@ -133,7 +133,7 @@ class TestAttentionBlock:
         model = tiny_model()
         x = SeededRng(1).uniform(-1, 1, (1, 8))
         _, cache = attention_block_forward(x, [(slice(0, 1), 1, 1)], model.params, "block0")
-        attn = cache[4][0]
+        attn = cache[1][0]
         assert attn.shape == (1, 1, 1)
         assert attn[0, 0, 0] == 1.0
 
@@ -494,8 +494,8 @@ class TestBatchedEncoder:
 
     @pytest.mark.parametrize("pooling", ["lstm", "mean", "max"])
     def test_encode_holds_one_pack_at_a_time(self, pooling):
-        # 1,000 ten-token sentences at the default sizes peak at 6.0 MB
-        # (lstm) or 5.5 MB (mean, max) in packs of 128, and at 32 MB (lstm)
+        # 1,000 ten-token sentences at the default sizes peak at 5.5 MB
+        # (lstm) or 5.0 MB (mean, max) in packs of 128, and at 26 MB (lstm)
         # in one pack for the whole call
         texts = [" ".join(f"w{(7 * i + 3 * j) % 97}" for j in range(10)) for i in range(1000)]
         vocab = build_vocabulary(texts)
@@ -507,6 +507,20 @@ class TestBatchedEncoder:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_lstm_gathers_each_step_inputs(self):
+        # one full pack of 61-token sentences at the default sizes peaks at
+        # 8.2 MB; a time-major copy of the pack's inputs took it to 11.5 MB
+        texts = [" ".join(f"w{(7 * i + 3 * j) % 97}" for j in range(60)) for i in range(PACK_SIZE)]
+        model = init_model(EncoderConfig(), build_vocabulary(texts), SeededRng(0).substream("init"))
+        encode(texts[:4], model)  # imports and warms up
+        tracemalloc.start()
+        try:
+            encode(texts, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5e6
 
     def test_empty_list(self):
         assert encode([], tiny_model(pooling="lstm")).shape == (0, 16)
@@ -653,6 +667,20 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         texts = ["the cat sat", "a dog ran high", "", "birds fly", "xylophone now"]
         assert np.array_equal(encode(texts, loaded), encode(texts, model))
+
+    def test_tensor_count_over_the_ceiling_is_refused_before_shapes(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(tiny_model(pooling="lstm"), path)  # 15 tensors
+        monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 15)
+        assert len(load_model(path).params) == 15
+        monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 14)
+        laid_out = []  # the block counts load_model asks param_shapes for
+        shapes = sentenc.encoder.param_shapes
+        monkeypatch.setattr(sentenc.encoder, "param_shapes",
+                            lambda cfg, size: laid_out.append(cfg.num_blocks) or shapes(cfg, size))
+        with pytest.raises(EncoderError, match="1 blocks make 15 tensors, over the ceiling of 14"):
+            load_model(path)
+        assert laid_out == [0]  # only the blockless count, no block named
 
     def test_loaded_tensors_are_writable_views_of_flat(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,5 +1,7 @@
 """Finite-difference verification of the analytic backward passes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,45 @@ class TestFullLossGradient:
         fd = finite_difference_grad(loss_fn, model, 1e-5)
         assert all(np.any(g != 0.0) for g in analytic.values())
         assert max_relative_error(analytic, fd) < 1e-3
+
+
+# 24 texts of 3-60 words plus "." (801 token rows, so two chunks), built
+# from fixed word ids; the parameters are moved off the init so every
+# layer-norm bias and gain is away from 0 and 1
+PIN_LENGTHS = [10, 10, 49, 31, 37, 37, 44, 4, 31, 11, 26, 56, 34, 7, 34, 10,
+               46, 58, 59, 39, 53, 24, 11, 32]
+
+
+class TestGradientPins:
+    """The loss and gradient bits of one batch_loss_and_grads call, pinned by
+    sha256 so a change to what the tape keeps or backward rebuilds cannot move
+    a bit unnoticed. The bits depend on the BLAS: the digests were taken with
+    numpy 2.4.6's OpenBLAS 0.3.31 at one thread, as CI runs it."""
+
+    @pytest.mark.parametrize(
+        "pooling, num_blocks, digest",
+        [
+            ("cls", 1, "1bca9b323bbf4d8efdbaa283b5ca51dc03a527f8e1a6813858af4253afbfe983"),
+            ("cls", 2, "40f60ab152e9e4d4eff24e149ad0f64b7096da8b6deb6d207ee2bc5faa654675"),
+            ("mean", 0, "15efbc58827e419d502993b9b68e7efa54353e7ca10adbefbdc55e738a327f05"),
+            ("mean", 1, "9a66ebc2ad05e2a778fe8f7dc5a6b6598612928a0abaf5f2f4955ee344b6c886"),
+            ("mean", 2, "d557a2da9fd2477d71533833a8ff02700f02af3526a2d073bdbe722bc1058dcc"),
+            ("max", 0, "40cb4729d046241e7694519d239b5b220272c5848007ea64aae05911786e5417"),
+            ("max", 1, "710df16d1181bb3a0dfc2326d5407a5ff30f5eb3657f008039c4243e5283e66e"),
+            ("max", 2, "48f1873ca70e43c096b4e5b7b984c8d9e5413eeea7181eb80d4296f2d1be836f"),
+            ("lstm", 0, "8fe492d73b1383e0a56fec7e0ba20051dbd5ccd31f58b04ec98bd025fae2b05b"),
+            ("lstm", 1, "f7f9713389f86c234f43639faefbf77b827511930ea9f6d563f596cbeee4adff"),
+            ("lstm", 2, "71debae39a1dd5d3f0a36af4075e921ac393564489c9f36ecb12714c3772e211"),
+        ],
+    )
+    def test_loss_and_gradient_bits(self, pooling, num_blocks, digest):
+        texts = [" ".join(f"w{(5 * i + 3 * j) % 90}" for j in range(n)) + "."
+                 for i, n in enumerate(PIN_LENGTHS)]
+        pairs = [ParaphrasePair(texts[2 * i], texts[2 * i + 1]) for i in range(12)]
+        cfg = EncoderConfig(embed_dim=16, num_blocks=num_blocks, ffn_dim=24, pooling=pooling,
+                            lstm_hidden=12, max_len=64)
+        model = init_model(cfg, build_vocabulary(texts), SeededRng(3).substream("init"))
+        model.params.flat += SeededRng(4).uniform(-0.1, 0.1, model.params.flat.size)
+        loss, grads = batch_loss_and_grads(pairs, model, 0.5)
+        bits = np.float64(loss).tobytes() + grads.flat.tobytes()
+        assert hashlib.sha256(bits).hexdigest() == digest

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sentenc.corpus import ParaphrasePair
 from sentenc import training
 from sentenc.encoder import EncoderConfig, ParamSet, build_vocabulary, init_model
+from sentenc.errors import ConfigError
 from sentenc.numeric import SeededRng
 from sentenc.training import (
     ADAM_BETA1,
@@ -448,6 +449,21 @@ class TestTrain:
             lr_schedule(s, 3 * n, cfg.peak_lr, cfg.warmup_ratio) for s in range(1, 10)
         ]
 
+    @pytest.mark.parametrize("n_pairs, batch_size, per_epoch", [(12, 5, 3), (11, 5, 2), (10, 5, 2)])
+    def test_step_ceiling_counts_the_batches_make_batches_cuts(
+        self, monkeypatch, n_pairs, batch_size, per_epoch
+    ):
+        pairs, model = self._setup(n_pairs)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size)
+        assert len(make_batches(pairs, batch_size, SeededRng(0))) == per_epoch
+        monkeypatch.setattr(training, "STEP_CEILING", 3 * per_epoch)
+        assert len(train(pairs, model, cfg, seed=2)) == 3 * per_epoch
+        monkeypatch.setattr(training, "STEP_CEILING", 3 * per_epoch - 1)
+        monkeypatch.setattr(training, "make_batches", None)  # refused before any batch
+        with pytest.raises(ConfigError, match=f"training.epochs 3 of {per_epoch} batches make "
+                                              f"{3 * per_epoch} steps, over the ceiling"):
+            train(pairs, model, cfg, seed=2)
+
     def test_loss_decreases_on_separable_data(self):
         pairs, model = self._setup()
         history = train(pairs, model, TrainConfig(epochs=4, batch_size=4), seed=1)
@@ -456,27 +472,39 @@ class TestTrain:
         assert last < first
 
 
+def _tape_peak(num_blocks: int) -> int:
+    """Traced peak of a second batch_loss_and_grads call on 16 pairs of 3-60
+    words through lstm pooling (d=64, h=128, ffn=128)."""
+    rng = SeededRng(0)
+    lengths = [rng.integers(3, 61) for _ in range(32)]
+    texts = [" ".join(f"word{(7 * i + j) % 500}" for j in range(n)) + "."
+             for i, n in enumerate(lengths)]
+    pairs = [ParaphrasePair(texts[2 * i], texts[2 * i + 1]) for i in range(16)]
+    cfg = EncoderConfig(
+        embed_dim=64, num_blocks=num_blocks, ffn_dim=128, pooling="lstm", lstm_hidden=128,
+        max_len=64,
+    )
+    model = init_model(cfg, build_vocabulary(texts), SeededRng(7).substream("init"))
+    batch_loss_and_grads(pairs, model, 0.05)  # the first call imports and warms up
+    tracemalloc.start()
+    try:
+        batch_loss_and_grads(pairs, model, 0.05)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBatchTape:
     def test_one_batch_peak_holds_no_rebuildable_activation(self):
-        """16 pairs of 3-60 words through lstm pooling and one block (d=64,
-        h=128, ffn=128). The attention caches keep neither the heads, the
-        first norm's output nor the ReLU's input, and the LSTM cache keeps no
-        incoming h, since backward rebuilds each bit-exactly. The second call
-        peaks at 14.1 MB; keeping those arrays would take it to 18.1 MB."""
-        rng = SeededRng(0)
-        lengths = [rng.integers(3, 61) for _ in range(32)]
-        texts = [" ".join(f"word{(7 * i + j) % 500}" for j in range(n)) + "."
-                 for i, n in enumerate(lengths)]
-        pairs = [ParaphrasePair(texts[2 * i], texts[2 * i + 1]) for i in range(16)]
-        cfg = EncoderConfig(
-            embed_dim=64, num_blocks=1, ffn_dim=128, pooling="lstm", lstm_hidden=128, max_len=64
-        )
-        model = init_model(cfg, build_vocabulary(texts), SeededRng(7).substream("init"))
-        batch_loss_and_grads(pairs, model, 0.05)  # the first call imports and warms up
-        tracemalloc.start()
-        try:
-            batch_loss_and_grads(pairs, model, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 17e6
+        """The attention caches keep x, the attention weights and the layer
+        norms' caches, and the LSTM cache keeps no incoming h, since backward
+        rebuilds the rest bit-exactly; lstm_backward makes no weight-sized
+        array beside the recurrent weights' spent copy. At one block the call
+        peaks at 10.7 MB; keeping q, k, v and the ReLU output, with the
+        weight-sized temporaries, took it to 14.1 MB."""
+        assert _tape_peak(1) < 12e6
+
+    def test_two_block_peak(self):
+        """Each block adds 2.4 MB to the peak: 13.1 MB at two blocks, against
+        19.4 MB when each block's cache also held q, k, v and the ReLU output."""
+        assert _tape_peak(2) < 14.5e6
