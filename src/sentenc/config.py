@@ -2,8 +2,8 @@
 
 Unknown keys are rejected so typos fail loudly, and values are checked at
 load, before any stage runs: first each value against its field's type hint,
-then each section's ranges, then the parameter counts of the smallest
-encoder and probe the sizes allow against encoder.PARAM_CEILING and the
+then each field's declared range (errors.check_declared), then the sizes of
+the smallest encoder and probe against encoder.PARAM_CEILING and the
 encoder's tensor count against encoder.TENSOR_CEILING. All randomness
 flows from the single master seed via named sub-streams; no stage takes a
 seed of its own.
@@ -28,30 +28,28 @@ from .encoder import (
     param_count,
     param_size,
 )
-from .errors import ConfigError, SentencError
+from .errors import ConfigError, check_declared, check_value
 from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID, probe_shapes
 from .mining import MIN_FILTER_DIMENSION, MiningConfig
-from .numeric import check_seed
 from .training import TrainConfig
 
 
 @dataclass
 class FilterEncoderConfig:
     type: Literal["hashed_ngram", "precomputed"] = "hashed_ngram"
-    dimension: int | None = None  # hashed_ngram only, 512 when unset
+    # hashed_ngram only, 512 when unset
+    dimension: int | None = field(
+        default=None, metadata={"min": MIN_FILTER_DIMENSION, "max": PARAM_CEILING})
     path: str | None = None  # precomputed only
 
     def __post_init__(self):
+        # under precomputed a dimension is an unread key (_UNREAD_WHEN), not out of range
+        unread = ("dimension",) if self.type == "precomputed" else ()
+        check_declared(self, "filter_encoder.", unread)
         if self.type == "precomputed" and not self.path:
             raise ConfigError("precomputed filter encoder needs a path")
         if self.type == "hashed_ngram" and self.dimension is None:
             self.dimension = 512
-        if self.type == "hashed_ngram" and self.dimension < MIN_FILTER_DIMENSION:
-            raise ConfigError(f"dimension {self.dimension!r} must be >= {MIN_FILTER_DIMENSION}")
-        if self.type == "hashed_ngram" and self.dimension > PARAM_CEILING:
-            raise ConfigError(
-                f"dimension {self.dimension!r} exceeds the ceiling of {PARAM_CEILING}"
-            )
 
 
 @dataclass
@@ -67,10 +65,12 @@ class EvalTaskConfig:
 @dataclass
 class EvalConfig:
     tasks: list[EvalTaskConfig] = field(default_factory=list)
-    lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDA_GRID))
-    hidden: int = DEFAULT_HIDDEN
+    lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDA_GRID),
+                                     metadata={"min": 0})
+    hidden: int = field(default=DEFAULT_HIDDEN, metadata={"min": 1})
 
     def __post_init__(self):
+        check_declared(self, "eval.")
         names = [task.name for task in self.tasks]
         for name in names:
             # results.csv writes the name unquoted as its first field
@@ -79,12 +79,8 @@ class EvalConfig:
                     f"task name {name!r} must be nonempty, unique and free of "
                     "commas, double quotes and line breaks"
                 )
-        if not self.lambda_grid or min(self.lambda_grid) < 0:
-            raise ValueError(
-                f"lambda_grid {self.lambda_grid!r} must be a non-empty list of numbers >= 0"
-            )
-        if self.hidden < 1:
-            raise ValueError(f"hidden {self.hidden!r} must be >= 1")
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must hold at least one number")
         check_param_count(param_size(probe_shapes(1, self.hidden, 1)),
                           " in the smallest probe (1 input, 1 output)")
 
@@ -112,8 +108,8 @@ OUTPUT_KEYS = ("paths.pairs", "paths.checkpoint", "paths.loss_csv", "paths.eval_
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    min_count: int = 1  # vocabulary frequency cutoff
+    seed: int = field(default=0, metadata={"min": 0, "max": 2**64 - 1})
+    min_count: int = field(default=1, metadata={"min": 1})  # vocabulary frequency cutoff
     paths: PathsConfig = field(default_factory=PathsConfig)
     mining: MiningConfig = field(default_factory=MiningConfig)
     filter_encoder: FilterEncoderConfig = field(default_factory=FilterEncoderConfig)
@@ -122,9 +118,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.min_count < 1:
-            raise ValueError(f"min_count {self.min_count!r} must be >= 1")
+        check_declared(self, "")
         # checked here, not in EncoderConfig, so library models are unaffected
         if self.encoder.pooling == "cls" and self.encoder.num_blocks == 0:
             raise ValueError(
@@ -187,16 +181,13 @@ def _checked(hint, value, key: str):
     if origin is types.UnionType:  # only `X | None` is used
         return None if value is None else _checked(args[0], value, key)
     if origin is Literal:
-        if value in args:
+        check_value(key, value, hint, {})
+        return value
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        if not isinstance(value, float) or math.isfinite(value):
             return value
-        expected = "one of " + ", ".join(map(repr, args))
-    else:
-        accepted = (int, float) if hint is float else hint
-        if isinstance(value, accepted) and not isinstance(value, bool):
-            if not isinstance(value, float) or math.isfinite(value):
-                return value
-        expected = _TYPE_NAMES[hint]
-    raise ConfigError(f"{key} {value!r} must be {expected}")
+    raise ConfigError(f"{key} {value!r} must be {_TYPE_NAMES[hint]}")
 
 
 def _build(cls, data, context: str):
@@ -223,7 +214,7 @@ def _build(cls, data, context: str):
     }
     try:
         section = cls(**kwargs)
-    except (ValueError, SentencError) as exc:
+    except ValueError as exc:  # a rule across fields; a ConfigError names its own key
         raise ConfigError(f"{where}: {exc}") from exc
     for name, value in data.items():
         if value is not None and (setting := _unread_by(section, f"{context}.{name}")):

@@ -20,20 +20,21 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 
 from .corpus import atomic_write, open_input
-from .errors import ConfigError, EncoderError
+from .errors import ConfigError, EncoderError, check_declared
 from .numeric import SeededRng, softmax
 
 UNK_TOKEN, CLS_TOKEN = "<unk>", "<cls>"
 SPECIAL_TOKENS = (UNK_TOKEN, CLS_TOKEN)
 UNK_ID, CLS_ID = 0, 1
 
-POOLING_STRATEGIES = ("cls", "mean", "max", "lstm")
+Pooling = Literal["cls", "mean", "max", "lstm"]
+POOLING_STRATEGIES = get_args(Pooling)
 
 LAYER_NORM_EPS = 1e-5
 
@@ -121,22 +122,15 @@ def embed_tokens(ids, embedding: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncoderConfig:
-    embed_dim: int = 64
-    num_blocks: int = 1
-    ffn_dim: int = 128
-    pooling: str = "lstm"
-    lstm_hidden: int = 128
-    max_len: int = 64
+    embed_dim: int = field(default=64, metadata={"min": 1})
+    num_blocks: int = field(default=1, metadata={"min": 0})
+    ffn_dim: int = field(default=128, metadata={"min": 1})
+    pooling: Pooling = "lstm"
+    lstm_hidden: int = field(default=128, metadata={"min": 1})
+    max_len: int = field(default=64, metadata={"min": 2})
 
     def __post_init__(self):
-        if self.pooling not in POOLING_STRATEGIES:
-            raise EncoderError(f"unknown pooling strategy {self.pooling!r}")
-        if self.embed_dim < 1 or self.ffn_dim < 1 or self.lstm_hidden < 1:
-            raise EncoderError("dimensions must be positive")
-        if self.num_blocks < 0:
-            raise EncoderError("num_blocks must be >= 0")
-        if self.max_len < 2:
-            raise EncoderError("max_len must be >= 2")
+        check_declared(self, "encoder.")
 
     @property
     def output_dim(self) -> int:

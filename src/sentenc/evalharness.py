@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import EvalRecord
 from .encoder import EncoderModel, ParamSet, _glorot, encode
-from .errors import EvalError
+from .errors import DivergenceError, EvalError
 from .numeric import SeededRng, softmax
 from .training import OptimizerState, adamw_step, lr_schedule
 
@@ -102,7 +102,7 @@ def train_probe(
 ) -> ProbeModel:
     """Full-batch training of a tanh-hidden-layer probe with the shared AdamW
     optimizer and linear warmup/decay schedule; L2 penalty on weight matrices.
-    """
+    As in `train`, an overflow or invalid operation raises FloatingPointError."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise EvalError("need at least 2 feature rows")
@@ -127,23 +127,24 @@ def train_probe(
     params["w2"][...] = _glorot(rng.substream("w2"), hidden, out_dim, (hidden, out_dim))
     grads = params.zeros_like()
     state = OptimizerState(params)
-    for step in range(1, PROBE_ITERATIONS + 1):
-        hidden_act, out = _probe_forward(params, x)
-        if kind == "classification":
-            dout = softmax(out)
-            dout[np.arange(n), y_idx] -= 1.0
-            dout /= n
-        else:
-            dout = 2.0 * (out[:, 0] - y)[:, None] / n
-        np.matmul(hidden_act.T, dout, out=grads["w2"])
-        grads["w2"] += 2.0 * l2 * params["w2"]
-        dout.sum(axis=0, out=grads["b2"])
-        dhidden = (dout @ params["w2"].T) * (1.0 - hidden_act**2)
-        np.matmul(x.T, dhidden, out=grads["w1"])
-        grads["w1"] += 2.0 * l2 * params["w1"]
-        dhidden.sum(axis=0, out=grads["b1"])
-        step_lr = lr_schedule(step, PROBE_ITERATIONS, PROBE_LR, 0.1)
-        adamw_step(params, grads, state, step_lr, weight_decay=0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        for step in range(1, PROBE_ITERATIONS + 1):
+            hidden_act, out = _probe_forward(params, x)
+            if kind == "classification":
+                dout = softmax(out)
+                dout[np.arange(n), y_idx] -= 1.0
+                dout /= n
+            else:
+                dout = 2.0 * (out[:, 0] - y)[:, None] / n
+            np.matmul(hidden_act.T, dout, out=grads["w2"])
+            grads["w2"] += 2.0 * l2 * params["w2"]
+            dout.sum(axis=0, out=grads["b2"])
+            dhidden = (dout @ params["w2"].T) * (1.0 - hidden_act**2)
+            np.matmul(x.T, dhidden, out=grads["w1"])
+            grads["w1"] += 2.0 * l2 * params["w1"]
+            dhidden.sum(axis=0, out=grads["b1"])
+            step_lr = lr_schedule(step, PROBE_ITERATIONS, PROBE_LR, 0.1)
+            adamw_step(params, grads, state, step_lr, weight_decay=0.0)
     return ProbeModel(params, classes, l2)
 
 
@@ -208,8 +209,8 @@ def evaluate(
 ) -> EvalResult:
     """Select L2 strength on the validation split and report the test metric
     of the probe trained with it: the grid value whose probe, trained on the
-    train split, scores best on validation wins, and ties break toward the
-    earlier value. The encoder is frozen throughout."""
+    train split, scores best on validation wins, ties going to the earlier
+    one. The encoder is frozen; a fit that overflows is a DivergenceError."""
     # one featurize call, so the splits share the encoder's packs
     train, validation, test = np.split(
         featurize(task.train + task.validation + task.test, model),
@@ -218,7 +219,10 @@ def evaluate(
     train_labels = [r.label for r in task.train]
     probe, best_score = None, -np.inf
     for l2 in lambda_grid:
-        candidate = train_probe(train, train_labels, task.kind, hidden, l2, seed)
+        try:
+            candidate = train_probe(train, train_labels, task.kind, hidden, l2, seed)
+        except (FloatingPointError, DivergenceError) as exc:
+            raise DivergenceError(f"eval task {task.name}, lambda {l2!r}: {exc}") from exc
         try:
             score = _score(candidate, validation, task.validation)
         except EvalError:  # e.g. constant predictions under extreme l2

@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .corpus import AlignedPair, ParaphrasePair, normalize, numbered_rows
-from .errors import MiningError
+from .errors import MiningError, check_declared
 from .numeric import SeededRng, cosine_similarity
 
 
@@ -40,12 +40,11 @@ FILTER_CHUNK = 64
 
 @dataclass
 class MiningConfig:
-    threshold: float = 0.7
+    # thresholds above 1 are allowed and simply keep nothing
+    threshold: float = field(default=0.7, metadata={"min": 0})
 
     def __post_init__(self):
-        # thresholds above 1 are allowed and simply keep nothing
-        if not self.threshold >= 0.0:
-            raise MiningError(f"threshold {self.threshold} must be >= 0")
+        check_declared(self, "mining.")
 
 
 @dataclass

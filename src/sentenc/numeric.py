@@ -81,14 +81,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def check_seed(seed) -> int:
-    """`seed` itself if it is an int in [0, 2**64). Sub-stream seeds hash the
-    seed's decimal text, so a bool or a str must not pass for a number."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise NumericError(f"seed {seed!r} must be an integer in [0, 2**64)")
-    return seed
-
-
 def _derive_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -102,7 +94,11 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = check_seed(seed)
+        # sub-stream seeds hash the seed's decimal text, so a bool or a str
+        # must not pass for a number
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise NumericError(f"seed {seed!r} must be an integer in [0, 2**64)")
+        self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def substream(self, name: str) -> "SeededRng":

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import ParaphrasePair, atomic_write
 from .encoder import EncoderModel, ParamSet, _backward, encode
-from .errors import ConfigError, DivergenceError, NumericError
+from .errors import ConfigError, DivergenceError, NumericError, check_declared
 from .numeric import SeededRng, logsumexp, softmax, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -36,27 +36,18 @@ ADAMW_BLOCK = 1 << 15
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    epochs: int = 3
-    peak_lr: float = 1e-3  # the original full-scale run used 2e-6
-    warmup_ratio: float = 0.10
-    weight_decay: float = 0.01
-    temperature: float = 1.0
+    # a batch of one pair has no in-batch negative and so zero gradient
+    batch_size: int = field(default=64, metadata={"min": 2})
+    # each epoch takes at least one step, so more epochs can never train
+    epochs: int = field(default=3, metadata={"min": 0, "max": STEP_CEILING})
+    # the original full-scale run used 2e-6
+    peak_lr: float = field(default=1e-3, metadata={"gt": 0})
+    warmup_ratio: float = field(default=0.10, metadata={"min": 0, "max": 1})
+    weight_decay: float = field(default=0.01, metadata={"min": 0})
+    temperature: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        # a batch of one pair has no in-batch negative and so zero gradient
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size {self.batch_size!r} must be >= 2")
-        if self.epochs < 0:
-            raise ValueError(f"epochs {self.epochs!r} must be >= 0")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ValueError("warmup_ratio must be in [0, 1]")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay {self.weight_decay!r} must be >= 0")
+        check_declared(self, "training.")
 
 
 class OptimizerState:

@@ -1,13 +1,17 @@
 import base64
+import dataclasses
 import errno
+import functools
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 import sentenc.cli
 import sentenc.encoder
 from sentenc.cli import main
-from sentenc.config import load_run_config
+from sentenc.config import RunConfig, load_run_config
 from sentenc.corpus import read_pairs
 from sentenc.encoder import (
     PARAM_CEILING,
@@ -201,6 +205,11 @@ class TestMineCommand:
         [
             pytest.param({"mining": {"thresold": 0.5}}, [], "['thresold']", id="unknown_key"),
             pytest.param({"encoder": {"pooling": "bogus"}}, [], "'bogus'", id="bogus_pooling"),
+            pytest.param({"encoder": {"pooling": ["lstm"]}}, [],
+                         "encoder.pooling ['lstm'] must be one of 'cls', 'mean', 'max', 'lstm'",
+                         id="list_pooling"),
+            pytest.param({"eval": {"tasks": [{**_TASK, "kind": ["regression"]}]}}, [],
+                         "eval.tasks[0].kind ['regression'] must be one of", id="list_task_kind"),
             pytest.param({"mining": {"threshold": -1}}, [], "threshold", id="negative_threshold"),
             pytest.param({"mining": {"seed": 123}}, [], "mining: unknown keys ['seed']",
                          id="mining_seed"),
@@ -239,7 +248,8 @@ class TestMineCommand:
             pytest.param({"eval": {"hidden": 0}}, [], "hidden 0", id="zero_hidden"),
             pytest.param({"eval": {"lambda_grid": ["a"]}}, [], "eval.lambda_grid[0] 'a'",
                          id="string_lambda"),
-            pytest.param({"eval": {"lambda_grid": [-1.0]}}, [], "lambda_grid [-1.0]",
+            pytest.param({"eval": {"lambda_grid": [-1.0]}}, [],
+                         "eval.lambda_grid[0] -1.0 must be >= 0",
                          id="negative_lambda"),
             pytest.param({"eval": {"tasks": [{**_TASK, "kind": "bogus"}]}}, [],
                          "eval.tasks[0].kind 'bogus'", id="bogus_task_kind"),
@@ -280,17 +290,19 @@ class TestMineCommand:
                          _dimension_unread(4), id="precomputed_small_dimension"),
             pytest.param({"filter_encoder": {**_PRECOMPUTED, "dimension": 512}}, [],
                          _dimension_unread(512), id="precomputed_dimension"),
-            pytest.param({"encoder": {"embed_dim": 0}}, [], "dimensions must be positive",
+            pytest.param({"encoder": {"embed_dim": 0}}, [], "encoder.embed_dim 0 must be >= 1",
                          id="zero_embed_dim"),
-            pytest.param({"encoder": {"num_blocks": -1}}, [], "num_blocks must be >= 0",
+            pytest.param({"encoder": {"num_blocks": -1}}, [], "encoder.num_blocks -1 must be >= 0",
                          id="negative_num_blocks"),
-            pytest.param({"encoder": {"max_len": 1}}, [], "max_len must be >= 2",
+            pytest.param({"encoder": {"max_len": 1}}, [], "encoder.max_len 1 must be >= 2",
                          id="max_len_1"),
-            pytest.param({"training": {"warmup_ratio": 1.5}}, [], "warmup_ratio must be in [0, 1]",
+            pytest.param({"training": {"warmup_ratio": 1.5}}, [],
+                         "training.warmup_ratio 1.5 must be <= 1",
                          id="warmup_ratio_above_1"),
-            pytest.param({"training": {"peak_lr": 0}}, [], "peak_lr must be positive",
+            pytest.param({"training": {"peak_lr": 0}}, [], "training.peak_lr 0 must be > 0",
                          id="zero_peak_lr"),
-            pytest.param({"training": {"temperature": 0}}, [], "temperature must be positive",
+            pytest.param({"training": {"temperature": 0}}, [],
+                         "training.temperature 0 must be > 0",
                          id="zero_temperature"),
             pytest.param({"paths": {"corpus_tsv": None}}, [],
                          "config must set paths.corpus_tsv or both Moses paths", id="no_corpus"),
@@ -520,24 +532,103 @@ def test_cls_without_blocks_is_refused_at_load(tmp_path):
         load_run_config(path)
 
 
+def _declarations():
+    """(key, element type, whether the field is a list, bound name, bound) for
+    each bound that a field of RunConfig, or of a section it nests, declares
+    in its metadata."""
+    def walk(cls, prefix):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            if dataclasses.is_dataclass(hint):
+                yield from walk(hint, f"{prefix}{f.name}.")
+            kind = float if float in (hint, *typing.get_args(hint)) else int
+            for rule, bound in f.metadata.items():
+                yield f"{prefix}{f.name}", kind, typing.get_origin(hint) is list, rule, bound
+
+    return list(walk(RunConfig, ""))
+
+
+_SIGNS = {"min": ">=", "gt": ">", "max": "<="}
+
+
+def _edges(kind, rule, bound):
+    """The value just outside a declared bound and the nearest value within it."""
+    below, above = (bound - 1, bound + 1) if kind is int else (
+        math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    return {"min": (below, kind(bound)), "gt": (kind(bound), above),
+            "max": (above, kind(bound))}[rule]
+
+
+def _set_key(key, value, lists):
+    """The config override that sets dotted `key` to `value`, as a one-element
+    list for a list field."""
+    section, _, name = key.rpartition(".")
+    value = [value] if lists else value
+    return {section: {name: value}} if section else {key: value}
+
+
+_DECLARED = [pytest.param(*d, id=f"{d[0]}-{d[3]}") for d in _declarations()]
+
+
+@pytest.mark.parametrize("key, kind, lists, rule, bound", _DECLARED)
+def test_value_outside_a_declared_bound_exits_2(fixture_corpus, capsys, key, kind, lists, rule,
+                                                bound):
+    outside, _ = _edges(kind, rule, bound)
+    config = write_config(fixture_corpus, **_set_key(key, outside, lists))
+    files = _file_bytes(fixture_corpus)
+    assert main(["mine", "--config", str(config)]) == 2
+    shown = f"{key}[0]" if lists else key
+    assert capsys.readouterr().err == (
+        f"config error: {shown} {outside!r} must be {_SIGNS[rule]} {bound}\n")
+    assert _file_bytes(fixture_corpus) == files
+
+
+@pytest.mark.parametrize("key, kind, lists, rule, bound", _DECLARED)
+def test_value_at_a_declared_bound_loads(tmp_path, key, kind, lists, rule, bound):
+    _, within = _edges(kind, rule, bound)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_set_key(key, within, lists)), encoding="utf-8")
+    value = functools.reduce(getattr, key.split("."), load_run_config(path))
+    assert value == ([within] if lists else within)
+
+
+def test_readme_range_table_matches_the_declarations():
+    """README's config section lists each declared range: key, default, bounds."""
+    defaults = RunConfig()
+    rows = []
+    for key, group in itertools.groupby(_declarations(), key=lambda d: d[0]):
+        default = functools.reduce(getattr, key.split("."), defaults)
+        bounds = ", ".join(f"`{_SIGNS[rule]} {bound}`" for *_, rule, bound in group)
+        rows.append(f"| `{key}` | `{default!r}` | {bounds} |")
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| key | default | range |") + 2
+    assert list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:])) == rows
+
+
 def _alarm(signum, frame):
     raise TimeoutError("the command ran past its alarm")
 
 
 # each size is far beyond a 47-bit address space, so numpy refuses it at once
-# if a guard is missing; num_blocks 2**50 would loop in param_shapes instead
+# if a guard is missing; num_blocks 2**50 would loop in param_shapes instead,
+# and epochs 2**50 could never train: an epoch takes at least one step
 @pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
 @pytest.mark.parametrize(
     "override, named",
     [
         pytest.param({"filter_encoder": {"dimension": 2**50}},
-                     f"filter_encoder: dimension {2**50} exceeds the ceiling",
+                     f"filter_encoder.dimension {2**50} must be <= {PARAM_CEILING}",
                      id="filter_dimension"),
         pytest.param({"encoder": {"num_blocks": 2**50}},
-                     "parameters in the smallest encoder (a 2-token vocabulary) exceed the ceiling",
-                     id="num_blocks"),
+                     "parameters in the smallest encoder (a 2-token vocabulary) exceed the "
+                     f"ceiling of {PARAM_CEILING}", id="num_blocks"),
         pytest.param({"eval": {"hidden": 2**50}},
-                     f"eval: {3 * 2**50 + 1} parameters in the smallest probe", id="eval_hidden"),
+                     f"{3 * 2**50 + 1} parameters in the smallest probe (1 input, 1 output) "
+                     f"exceed the ceiling of {PARAM_CEILING}", id="eval_hidden"),
+        pytest.param({"training": {"epochs": 2**50}},
+                     f"training.epochs {2**50} must be <= {STEP_CEILING}", id="epochs"),
     ],
 )
 def test_oversized_setting_exits_2_at_load(fixture_corpus, capsys, command, override, named):
@@ -552,7 +643,7 @@ def test_oversized_setting_exits_2_at_load(fixture_corpus, capsys, command, over
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert named in err and f"the ceiling of {PARAM_CEILING}" in err
+    assert named in err
     assert _file_bytes(fixture_corpus) == files
 
 
@@ -741,7 +832,8 @@ class TestTrainCommand:
     def test_step_count_over_the_ceiling_exits_2_before_step_1(self, fixture_corpus, capsys):
         config = write_config(fixture_corpus)
         assert main(["mine", "--config", str(config)]) == 0
-        config = write_config(fixture_corpus, training={"epochs": 2**50})
+        # the most epochs config load accepts
+        config = write_config(fixture_corpus, training={"epochs": STEP_CEILING})
         files = _file_bytes(fixture_corpus)
         capsys.readouterr()
         assert _main_under_alarm(["train", "--config", str(config)]) == 2
@@ -749,8 +841,8 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
         # 6 mined pairs in batches of 4 make 2 batches an epoch
-        assert (f"training.epochs {2**50} of 2 batches make {2**51} steps, over the ceiling "
-                f"of {STEP_CEILING}") in err
+        assert (f"training.epochs {STEP_CEILING} of 2 batches make {2 * STEP_CEILING} steps, "
+                f"over the ceiling of {STEP_CEILING}") in err
         assert _file_bytes(fixture_corpus) == files
 
     def test_overflow_exits_3(self, fixture_corpus, capsys):
@@ -1100,6 +1192,22 @@ class TestEvalCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"exceed the ceiling of {PARAM_CEILING}" in err
         assert _file_bytes(fixture_corpus) == files
+
+    @pytest.mark.parametrize("l2", [1e200, 1e308])
+    def test_overflowing_probe_fit_exits_3(self, fixture_corpus, capsys, l2):
+        """A lambda so large that a fit overflows is a divergence that names
+        the task and the lambda, not a RuntimeWarning or an unnamed step."""
+        task = self._write_task(fixture_corpus, "taskA")
+        config = write_config(fixture_corpus, eval={"tasks": [task], "lambda_grid": [l2]})
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert captured.err.startswith(f"training diverged: eval task taskA, lambda {l2!r}: ")
+        assert captured.err.count("\n") == 1
+        assert not (fixture_corpus / "results.csv").exists()
 
     def test_two_tasks_ordered_rows_and_metrics(self, fixture_corpus):
         t1 = self._write_task(fixture_corpus, "taskA", "classification")
