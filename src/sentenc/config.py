@@ -28,7 +28,7 @@ from .encoder import (
     param_count,
     param_size,
 )
-from .errors import ConfigError, check_declared, check_value
+from .errors import ConfigError, check_declared, check_value, field_hints
 from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID, probe_shapes
 from .mining import MIN_FILTER_DIMENSION, MiningConfig
 from .training import TrainConfig
@@ -60,6 +60,11 @@ class EvalTaskConfig:
     train: str
     validation: str
     test: str
+
+    def __post_init__(self):
+        # config load names a task by its index (_checked, before this
+        # runs); a task built outside a config is named by its name
+        check_declared(self, f"eval.tasks[{self.name!r}].")
 
 
 @dataclass
@@ -197,7 +202,7 @@ def _build(cls, data, context: str):
     where = context or "top level"
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    hints = typing.get_type_hints(cls)
+    hints = field_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")

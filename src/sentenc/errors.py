@@ -7,7 +7,9 @@ Exit codes: 1 I/O or input failure, 2 config error, 3 numeric divergence.
 
 from __future__ import annotations
 
+import functools
 import operator
+import types
 import typing
 from dataclasses import fields
 
@@ -75,10 +77,17 @@ def check_value(key: str, value, hint, bounds) -> None:
             raise ConfigError(f"{key} {value!r} must be {sign} {bound}")
 
 
+@functools.cache
+def field_hints(cls) -> types.MappingProxyType:
+    """typing.get_type_hints of dataclass `cls`, resolved once per class and
+    read-only, since every caller shares it."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
+
+
 def check_declared(section, prefix: str, skip=()) -> None:
     """check_value on each field of dataclass instance `section` but those in
     `skip`; `prefix` is the section's config key and a dot ("" at the top)."""
-    hints = typing.get_type_hints(type(section))
+    hints = field_hints(type(section))
     for f in fields(section):
         if f.name not in skip:
             check_value(prefix + f.name, getattr(section, f.name), hints[f.name], f.metadata)

@@ -3,15 +3,14 @@
 Stages: count the distinct targets of each source sentence, sources in the
 order of their first line (no line position is kept), skip each source with
 fewer than two distinct targets (it can never give a pair, so it is never
-encoded), similarity-filter the other groups (each source and each distinct
-aligned pair is encoded once, however often its line repeats), then generate
-pairs within each group, from a stream keyed by its source, so that every
-kept target sentence appears in at least one pair.
+encoded), similarity-filter the other groups (each source and distinct
+aligned pair is encoded once, however often its line repeats; one cosine
+call scores a group), then generate pairs within each group, from a stream
+keyed by its source, so every kept target appears in at least one pair.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,11 +30,6 @@ FilterEncoder = Callable[[str], np.ndarray]
 
 # Fewest hash buckets the n-gram filter encoder accepts; also checked at config load
 MIN_FILTER_DIMENSION = 16
-
-# Distinct aligned pairs per `filter_groups` cosine call: enough to spread
-# one call over many pairs, few enough that the chunk's vectors stay well
-# under 1 MB
-FILTER_CHUNK = 64
 
 
 @dataclass
@@ -166,12 +160,12 @@ def filter_groups(
     source with one distinct target can never give a pair: its lines are
     counted as unpairable and neither side is encoded. Each other source is
     encoded once, then each of its distinct targets, and one
-    `cosine_similarity` call scores FILTER_CHUNK such pairs. A MiningError
-    from the encoder (a noisy line) is tallied per line, not fatal: a
-    failing source fails every line of its group without its targets being
-    encoded. Anything else breaks the FilterEncoder contract and propagates:
-    any other exception, and a vector whose width differs from another's,
-    within a pair or across pairs.
+    `cosine_similarity` call scores the source against all its targets. A
+    MiningError from the encoder (a noisy line) is tallied per line, not
+    fatal: a failing source fails every line of its group without its
+    targets being encoded. Anything else breaks the FilterEncoder contract
+    and propagates: any other exception, and a vector whose width differs
+    from another's, within a group or across groups (ValueError).
     """
     stats = MiningStats() if stats is None else stats
     # a dict of counts per source, not a Counter: Counter's Python-level
@@ -182,32 +176,34 @@ def filter_groups(
         targets[pair.target] = targets.get(pair.target, 0) + 1
         stats.input_pairs += 1
 
-    def encoded():
-        for source, targets in lines.items():
-            if len(targets) < 2:
-                stats.unpairable += sum(targets.values())
-                continue
-            try:
-                x = enc(source)
-            except MiningError:
-                stats.encoder_failures += sum(targets.values())
-                continue
-            for target, count in targets.items():
-                try:
-                    y = enc(target)
-                except MiningError:
-                    stats.encoder_failures += count
-                    continue
-                yield source, target, count, x, y
-
     kept: dict[str, list[str]] = {}
-    rows = encoded()
-    while chunk := list(itertools.islice(rows, FILTER_CHUNK)):
-        sources, targets, counts, xs, ys = zip(*chunk)
-        sims = cosine_similarity(np.array(xs), np.array(ys))
-        for source, target, count, sim in zip(sources, targets, counts, sims):
+    width = None
+    for source, targets in lines.items():
+        if len(targets) < 2:
+            stats.unpairable += sum(targets.values())
+            continue
+        try:
+            x = enc(source)
+        except MiningError:
+            stats.encoder_failures += sum(targets.values())
+            continue
+        width = width or x.shape
+        if x.shape != width:
+            raise ValueError(f"filter encoder gave shapes {width} and {x.shape}")
+        ys: dict[str, np.ndarray] = {}
+        for target, count in targets.items():
+            try:
+                ys[target] = enc(target)
+            except MiningError:
+                stats.encoder_failures += count
+        if not ys:
+            continue
+        # np.array and cosine_similarity each raise a ValueError on a width
+        # that differs from the source's
+        sims = cosine_similarity(x, np.array(list(ys.values())))
+        for target, sim in zip(ys, sims):
             if sim >= threshold:
-                stats.kept_pairs += count
+                stats.kept_pairs += targets[target]
                 kept.setdefault(source, []).append(target)
     return kept
 

@@ -45,23 +45,31 @@ def unit_rows(x) -> tuple[np.ndarray, np.ndarray]:
 
 def cosine_similarity(x, y) -> float | np.ndarray:
     """Cosine of the angle between two vectors, clipped to [-1, 1]; for two
-    equal-shape 2-d blocks, an array of one cosine per pair of rows.
+    equal-shape 2-d blocks, an array of one cosine per pair of rows; for a
+    vector and a 2-d block of its width, an array of one cosine per row of
+    the block.
 
-    A vector is the 1-row case of the same body, so row i of a block gives
-    the same bits as the cosine of row i alone. Raises NumericError on a
-    shape mismatch or a zero-norm row; a zero embedding signals an upstream
-    bug and must not be silently absorbed.
+    Every form is one body: one unit_rows over the rows of x and y stacked,
+    then one (1, D) @ (D, 1) product per pair. So a vector against a block
+    is normalised once, and row i of any result has the bits of the cosine
+    of its two rows alone. Raises NumericError on any other pair of shapes
+    or a zero-norm row; a zero embedding signals an upstream bug and must
+    not be silently absorbed.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape != y.shape:
-        raise NumericError(f"need two equal 1-d or 2-d shapes, got {x.shape} and {y.shape}")
-    u, _ = unit_rows(np.concatenate([np.atleast_2d(x), np.atleast_2d(y)]))
-    n = len(u) // 2
+    against_block = x.ndim == 1 and y.ndim == 2 and x.shape[0] == y.shape[1]
+    if not against_block and (x.ndim not in (1, 2) or x.shape != y.shape):
+        raise NumericError(f"need two equal 1-d or 2-d shapes, or a vector and a block "
+                           f"of its width, got {x.shape} and {y.shape}")
+    x = np.atleast_2d(x)
+    u, _ = unit_rows(np.concatenate([x, np.atleast_2d(y)]))
+    n = len(x)
     # one dot product per row, as `u[i] @ v[i]` computes it; einsum and
-    # `(u * v).sum(1)` add in another order and change the last bits
+    # `(u * v).sum(1)` add in another order and change the last bits. A
+    # vector's one row is broadcast against the block's rows.
     cos = np.clip(np.matmul(u[:n, None, :], u[n:, :, None])[:, 0, 0], -1.0, 1.0)
-    return float(cos[0]) if x.ndim == 1 else cos
+    return float(cos[0]) if y.ndim == 1 else cos
 
 
 def logsumexp(v):

@@ -20,7 +20,7 @@ import pytest
 import sentenc.cli
 import sentenc.encoder
 from sentenc.cli import main
-from sentenc.config import RunConfig, load_run_config
+from sentenc.config import EvalTaskConfig, RunConfig, load_run_config
 from sentenc.corpus import read_pairs
 from sentenc.encoder import (
     PARAM_CEILING,
@@ -532,6 +532,34 @@ def test_cls_without_blocks_is_refused_at_load(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", "bogus", "eval.tasks['t'].kind 'bogus' must be one of 'classification', 'regression'"),
+    ("arity", "x", "eval.tasks['t'].arity 'x' must be one of 'single', 'pair'"),
+])
+def test_library_built_eval_task_is_checked(field, value, message):
+    """An EvalTaskConfig built outside a config gets config load's one-line
+    check; it names the task, since only config load knows its index."""
+    with pytest.raises(ConfigError) as info:
+        EvalTaskConfig(**{**_TASK, field: value})
+    assert str(info.value) == message
+
+
+def test_second_config_load_resolves_no_type_hints(tmp_path, monkeypatch):
+    """Each config dataclass's field hints are resolved once per process."""
+    path = write_config(tmp_path, eval={"tasks": [_TASK]})
+    load_run_config(path)
+    calls = []
+    get_type_hints = typing.get_type_hints
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return get_type_hints(*args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    assert load_run_config(path).eval.tasks[0].kind == "classification"
+    assert calls == []
+
+
 def _declarations():
     """(key, element type, whether the field is a list, bound name, bound) for
     each bound that a field of RunConfig, or of a section it nests, declares
@@ -746,6 +774,42 @@ class TestSyntheticPipelineMiningBytes:
         config = _synthetic_pipeline().build_workdir(tmp_path, seed)
         assert main(["mine", "--config", str(config)]) == 0
         assert hashlib.sha256((tmp_path / "pairs.tsv").read_bytes()).hexdigest() == digest
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+_MINE_SUMMARY = ("input pairs:        {}\nunpairable lines:   {}\nfiltered survivors: {}\n"
+                 "encoder failures:   {}\ngroups >= 2:        {}\nemitted pairs:      {}\n"
+                 "skipped lines:      {}\n")
+
+
+class TestBenchmarkWorkloadMiningBytes:
+    """`mine` on each benchmark workload at seed 7: the sha256 of pairs.tsv and
+    the summary it prints, as the filter gave them when it scored 64 pairs
+    per cosine call."""
+
+    @pytest.mark.parametrize(
+        "name, digest, counts",
+        [
+            ("desk", "06aa766a2c2666e6829c23e6a15c371eddd319b3e724b96846783d95421a59cc",
+             (1800, 1500, 300, 0, 50, 150, 0)),
+            ("mine-wide", "bac3333ca23d77f8ca43892fa118ab316ba77d094a77cf252e94c0a221356ca1",
+             (11768, 294, 10568, 0, 2086, 5541, 337)),
+            ("encode-ragged", "290ad8f326b07e3785f63cd5771c0ad20797099606d5b4e7e2213e131c089066",
+             (2520, 2400, 120, 0, 40, 80, 0)),
+        ],
+    )
+    def test_pairs_sha256_and_summary(self, tmp_path, monkeypatch, capsys, name, digest, counts):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workloads.generate(name, 7, str(tmp_path))
+        assert main(["mine", "--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().out == _MINE_SUMMARY.format(*counts)
+        pairs = (tmp_path / "out" / "pairs.tsv").read_bytes()
+        assert hashlib.sha256(pairs).hexdigest() == digest
 
 
 def test_synthetic_pipeline_script_runs_without_pythonpath(tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from sentenc.corpus import AlignedPair, ParaphrasePair, read_parallel_tsv
 from sentenc.mining import (
-    FILTER_CHUNK,
     MiningConfig,
     MiningError,
     MiningStats,
@@ -282,12 +281,12 @@ def planted_corpus(n: int, seed: int):
     """n seeded lines in runs of two (three at the end when n is odd) that
     share a source and have distinct targets, so every source can pair. A
     failing side is planted in the runs at both ends, at n/8, n/4, n/2 and
-    3n/4 and on each side of every chunk boundary, and each run beside one
-    opens with an identical-sides line that any threshold keeps. Blank,
-    missing and zero sides take turns, on a run's source (which fails each
-    of its lines) and on a target, so each of the six is planted. Returns
-    the lines, the indices of the failing lines and those of the
-    identical-sides lines."""
+    3n/4 and at lines 63, 64 and 128 (each side of the filter's former
+    64-pair chunk boundaries), and each run beside one opens with an
+    identical-sides line that any threshold keeps. Blank, missing and zero
+    sides take turns, on a run's source (which fails each of its lines) and
+    on a target, so each of the six is planted. Returns the lines, the
+    indices of the failing lines and those of the identical-sides lines."""
     rng = random.Random(seed)
     words = "ala ma kota pies dom las rzeka most droga okno".split()
 
@@ -304,8 +303,7 @@ def planted_corpus(n: int, seed: int):
     sizes = [2] * (n // 2 - 1) + [n - 2 * (n // 2 - 1)]
     runs = [(sentence(), distinct(size)) for size in sizes]
     last = len(runs) - 1
-    lines = {0, n // 8, n // 4, n // 2, 3 * n // 4, FILTER_CHUNK - 1, FILTER_CHUNK,
-             2 * FILTER_CHUNK, n - 1}
+    lines = {0, n // 8, n // 4, n // 2, 3 * n // 4, 63, 64, 128, n - 1}
     planted = sorted({min(i // 2, last) for i in lines if i < n})
     for r, (side, text) in zip(planted, itertools.cycle(FAILING_SIDES)):
         source, targets = runs[r]
@@ -384,7 +382,7 @@ class TestChunkedFilter:
     """filter_groups against the filter's former per-pair loop followed by the
     former grouping, both kept above as the reference."""
 
-    SIZES = [FILTER_CHUNK - 1, FILTER_CHUNK, FILTER_CHUNK + 1, 2 * FILTER_CHUNK + 1]
+    SIZES = [63, 64, 65, 129]
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -467,7 +465,7 @@ class TestChunkedFilter:
         pairs, config = benchmark_corpus(name, tmp_path, monkeypatch)
         enc = hashed_ngram_encoder(config["filter_encoder"]["dimension"])
         groups, stats = assert_filters_alike(pairs, enc, config["mining"]["threshold"])
-        assert len(pairs) > 2 * FILTER_CHUNK and groups and stats.unpairable > 0
+        assert len(pairs) > 128 and groups and stats.unpairable > 0
         # one encoder call per source of at least two distinct targets and one
         # per distinct aligned pair of such a source
         counted, calls = counting(enc)

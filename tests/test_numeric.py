@@ -126,6 +126,51 @@ class TestCosineRowBlocks:
             cosine_similarity(np.array(x), np.array(y))
 
 
+@st.composite
+def vector_and_block(draw):
+    """A vector and a block of 1-6 rows of its width, each row scaled as
+    row_blocks scales them."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rows = st.lists(st.lists(finite_floats, min_size=d, max_size=d), min_size=k + 1,
+                    max_size=k + 1)
+    scales = st.lists(st.sampled_from(ROW_SCALES), min_size=k + 1, max_size=k + 1)
+    with np.errstate(under="ignore"):
+        block = np.array(draw(rows)) * np.array(draw(scales))[:, None]
+    assume(block.any(axis=1).all())
+    return block[0], block[1:]
+
+
+def shapes(max_dims=3):
+    return st.lists(st.integers(1, 3), max_size=max_dims).map(tuple)
+
+
+class TestCosineVectorAgainstBlock:
+    @given(vector_and_block())
+    @example(pair=(np.array([3e-160, 4e-160]), np.array([[1.0, 1.0], [3e200, -4e200]])))
+    @example(pair=(np.array([3e200, -4e200]), np.array([[1.0, 2.0], [1e-310, 0.0]])))
+    def test_rows_bit_equal_one_pair_and_tiled_calls(self, pair):
+        x, y = pair
+        with np.errstate(over="ignore"):
+            cos = cosine_similarity(x, y)
+            tiled = cosine_similarity(np.tile(x, (len(y), 1)), y)
+            ones = [cosine_similarity(x, row) for row in y]
+        assert cos.shape == (len(y),)
+        assert cos.tobytes() == tiled.tobytes() == np.array(ones).tobytes()
+
+    @given(shapes(), shapes())
+    @example(x=(2,), y=(3, 2))
+    @example(x=(2,), y=(3, 3))
+    @example(x=(2, 2), y=(2,))
+    def test_every_other_pair_of_shapes_is_error(self, x, y):
+        valid = (x == y and len(x) in (1, 2)) or (len(x) == 1 and len(y) == 2 and y[1] == x[0])
+        if valid:
+            cos = cosine_similarity(np.ones(x), np.ones(y))
+            assert np.shape(cos) == (() if len(y) == 1 else y[:1])
+        else:
+            with pytest.raises(NumericError):
+                cosine_similarity(np.ones(x), np.ones(y))
+
+
 # rows of 1-8 finite entries whose square norm is a normal float
 ordinary_rows = st.integers(1, 8).flatmap(
     lambda d: st.lists(st.lists(finite_floats, min_size=d, max_size=d), min_size=1, max_size=6)
