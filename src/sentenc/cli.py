@@ -76,9 +76,12 @@ def cmd_train(config: RunConfig) -> int:
     vocab = build_vocabulary(texts, config.min_count)
     rng = SeededRng(config.seed).substream("init")
     model = init_model(config.encoder, vocab, rng)
-    history = train(pairs, model, config.training, _derive_seed(config.seed, "train"))
-    save_model(model, config.paths.checkpoint)
-    write_loss_csv(history, config.paths.loss_csv)
+    # the loss file is opened before step 1 and replaced only once the
+    # checkpoint is saved, so a failed train changes no file
+    with atomic_write(config.paths.loss_csv) as loss_csv:
+        history = train(pairs, model, config.training, _derive_seed(config.seed, "train"))
+        write_loss_csv(history, loss_csv)
+        save_model(model, config.paths.checkpoint)
     print(f"trained {len(history)} steps; checkpoint at {config.paths.checkpoint}")
     return EXIT_OK
 

@@ -2,11 +2,11 @@
 
 Unknown keys are rejected so typos fail loudly, and values are checked at
 load, before any stage runs: first each value against its field's type hint,
-then each field's declared range (errors.check_declared), then the sizes of
-the smallest encoder and probe against encoder.PARAM_CEILING and the
-encoder's tensor count against encoder.TENSOR_CEILING. All randomness
-flows from the single master seed via named sub-streams; no stage takes a
-seed of its own.
+then each field's declared range (errors.check_declared; the block count and
+the probe's width declare theirs too), then the rules across fields, among
+them the size of the smallest encoder against encoder.PARAM_CEILING. All
+randomness flows from the single master seed via named sub-streams; no stage
+takes a seed of its own.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .encoder import (
     SPECIAL_TOKENS,
     EncoderConfig,
     check_param_count,
-    check_tensor_count,
     param_count,
-    param_size,
 )
 from .errors import ConfigError, check_declared, check_value, field_hints
-from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID, probe_shapes
+from .evalharness import DEFAULT_HIDDEN, DEFAULT_LAMBDA_GRID
 from .mining import MIN_FILTER_DIMENSION, MiningConfig
 from .training import TrainConfig
 
@@ -72,7 +70,9 @@ class EvalConfig:
     tasks: list[EvalTaskConfig] = field(default_factory=list)
     lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDA_GRID),
                                      metadata={"min": 0})
-    hidden: int = field(default=DEFAULT_HIDDEN, metadata={"min": 1})
+    # the smallest probe, of 1 input and 1 output, holds 3 * hidden + 1 values
+    hidden: int = field(default=DEFAULT_HIDDEN,
+                        metadata={"min": 1, "max": (PARAM_CEILING - 1) // 3})
 
     def __post_init__(self):
         check_declared(self, "eval.")
@@ -86,8 +86,6 @@ class EvalConfig:
                 )
         if not self.lambda_grid:
             raise ValueError("lambda_grid must hold at least one number")
-        check_param_count(param_size(probe_shapes(1, self.hidden, 1)),
-                          " in the smallest probe (1 input, 1 output)")
 
 
 @dataclass
@@ -132,7 +130,6 @@ class RunConfig:
             )
         check_param_count(param_count(self.encoder, len(SPECIAL_TOKENS)),
                           f" in the smallest encoder (a {len(SPECIAL_TOKENS)}-token vocabulary)")
-        check_tensor_count(self.encoder)
 
     def named_paths(self) -> dict[str, str]:
         """Every file path the config sets, keyed by its config key."""

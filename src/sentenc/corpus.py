@@ -158,7 +158,11 @@ def atomic_write(path: str | os.PathLike) -> Iterator[TextIO]:
     """A UTF-8, LF text handle that replaces `path` only once the block
     completes. Text is streamed to a temp file beside `path` and moved over
     it with os.replace; on any failure the temp file is removed, so `path`
-    holds either its old content or the whole new one."""
+    holds either its old content or the whole new one. A path os.replace
+    cannot move a file to (empty, ending in a separator, or a directory) is
+    refused before the temp file is made."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise CorpusError(f"cannot write {os.fspath(path)!r}: not a path to a file")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         handle = open(tmp, "w", encoding="utf-8", newline="\n")

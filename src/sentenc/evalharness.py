@@ -82,11 +82,6 @@ def featurize(records: list[EvalRecord], model: EncoderModel) -> np.ndarray:
     return np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
 
 
-def probe_shapes(in_dim: int, hidden: int, out_dim: int) -> dict[str, tuple[int, ...]]:
-    """Name and shape of each probe tensor."""
-    return {"w1": (in_dim, hidden), "b1": (hidden,), "w2": (hidden, out_dim), "b2": (out_dim,)}
-
-
 def _probe_forward(params: ParamSet, x: np.ndarray):
     hidden = np.tanh(x @ params["w1"] + params["b1"])
     return hidden, hidden @ params["w2"] + params["b2"]
@@ -122,7 +117,8 @@ def train_probe(
         raise EvalError(f"unknown probe kind {kind!r}")
 
     rng = SeededRng(seed).substream("probe")
-    params = ParamSet(probe_shapes(in_dim, hidden, out_dim))
+    params = ParamSet({"w1": (in_dim, hidden), "b1": (hidden,),
+                       "w2": (hidden, out_dim), "b2": (out_dim,)})
     params["w1"][...] = _glorot(rng.substream("w1"), in_dim, hidden, (in_dim, hidden))
     params["w2"][...] = _glorot(rng.substream("w2"), hidden, out_dim, (hidden, out_dim))
     grads = params.zeros_like()

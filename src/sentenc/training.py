@@ -10,10 +10,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
-from .corpus import ParaphrasePair, atomic_write
+from .corpus import ParaphrasePair
 from .encoder import EncoderModel, ParamSet, _backward, encode
 from .errors import ConfigError, DivergenceError, NumericError, check_declared
 from .numeric import SeededRng, logsumexp, softmax, unit_rows
@@ -172,17 +173,20 @@ def _dedupe_positives(batches: list[list[ParaphrasePair]]) -> None:
                 )
 
 
+def batch_starts(n: int, k: int) -> range:
+    """Where each batch of K starts among n pairs. No batch starts at the
+    last pair: a 1-pair batch has no in-batch negative and so zero gradient."""
+    return range(0, n - 1, k)
+
+
 def make_batches(
     pairs: list[ParaphrasePair], k: int, rng: SeededRng
 ) -> list[list[ParaphrasePair]]:
-    """Shuffle, chunk into batches of K and drop a trailing 1-pair chunk: a
-    1-pair batch has no in-batch negative and so zero gradient."""
+    """Shuffle and cut into batches of K at batch_starts."""
     if len(pairs) < 2:
         raise ValueError(f"{len(pairs)} training pairs; a batch needs at least 2")
     shuffled = rng.shuffle(pairs)
-    batches = [shuffled[i : i + k] for i in range(0, len(shuffled), k)]
-    if len(batches[-1]) < 2:
-        batches.pop()
+    batches = [shuffled[i : i + k] for i in batch_starts(len(shuffled), k)]
     _dedupe_positives(batches)
     return batches
 
@@ -220,7 +224,7 @@ def train(
     or invalid operation anywhere in a step is a divergence. More than
     STEP_CEILING steps in all is a ConfigError before the first."""
     k = config.batch_size
-    batches_per_epoch = len(pairs) // k + (len(pairs) % k >= 2)  # as make_batches cuts
+    batches_per_epoch = len(batch_starts(len(pairs), k))
     steps = config.epochs * batches_per_epoch
     if steps > STEP_CEILING:
         raise ConfigError(f"training.epochs {config.epochs} of {batches_per_epoch} batches "
@@ -244,8 +248,9 @@ def train(
     return history
 
 
-def write_loss_csv(history: list[StepRecord], path) -> None:
-    with atomic_write(path) as handle:
-        handle.write("step,epoch,lr,loss\n")
-        for rec in history:
-            handle.write(f"{rec.step},{rec.epoch},{rec.lr!r},{rec.loss!r}\n")
+def write_loss_csv(history: list[StepRecord], handle: TextIO) -> None:
+    """The loss history as CSV, to a handle the caller opened, so it can open
+    the file before training and replace it only once the run succeeded."""
+    handle.write("step,epoch,lr,loss\n")
+    for rec in history:
+        handle.write(f"{rec.step},{rec.epoch},{rec.lr!r},{rec.loss!r}\n")

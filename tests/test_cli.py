@@ -25,12 +25,11 @@ from sentenc.corpus import read_pairs
 from sentenc.encoder import (
     PARAM_CEILING,
     SPECIAL_TOKENS,
-    TENSOR_CEILING,
     EncoderConfig,
     param_count,
     param_shapes,
 )
-from sentenc.errors import ConfigError
+from sentenc.errors import ConfigError, DivergenceError, SentencError
 from sentenc.training import STEP_CEILING
 
 
@@ -641,7 +640,8 @@ def _alarm(signum, frame):
 
 # each size is far beyond a 47-bit address space, so numpy refuses it at once
 # if a guard is missing; num_blocks 2**50 would loop in param_shapes instead,
-# and epochs 2**50 could never train: an epoch takes at least one step
+# and epochs 2**50 could never train: an epoch takes at least one step.
+# Each is refused by the range its field declares.
 @pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
 @pytest.mark.parametrize(
     "override, named",
@@ -650,11 +650,10 @@ def _alarm(signum, frame):
                      f"filter_encoder.dimension {2**50} must be <= {PARAM_CEILING}",
                      id="filter_dimension"),
         pytest.param({"encoder": {"num_blocks": 2**50}},
-                     "parameters in the smallest encoder (a 2-token vocabulary) exceed the "
-                     f"ceiling of {PARAM_CEILING}", id="num_blocks"),
+                     f"encoder.num_blocks {2**50} must be <= {2**15}", id="num_blocks"),
         pytest.param({"eval": {"hidden": 2**50}},
-                     f"{3 * 2**50 + 1} parameters in the smallest probe (1 input, 1 output) "
-                     f"exceed the ceiling of {PARAM_CEILING}", id="eval_hidden"),
+                     f"eval.hidden {2**50} must be <= {(PARAM_CEILING - 1) // 3}",
+                     id="eval_hidden"),
         pytest.param({"training": {"epochs": 2**50}},
                      f"training.epochs {2**50} must be <= {STEP_CEILING}", id="epochs"),
     ],
@@ -686,43 +685,6 @@ def _main_under_alarm(argv) -> int:
         signal.signal(signal.SIGALRM, previous)
 
 
-# 10**8 one-wide blocks hold 12 values each, under PARAM_CEILING, but would
-# name 1.2e9 tensors; they are only counted, never built
-_MANY_BLOCKS = {"embed_dim": 1, "num_blocks": 10**8, "ffn_dim": 1, "lstm_hidden": 1}
-
-
-@pytest.mark.parametrize("command", ["mine", "train", "encode", "eval"])
-def test_tensor_count_over_the_ceiling_exits_2_at_load(fixture_corpus, capsys, command):
-    assert param_count(EncoderConfig(**_MANY_BLOCKS), len(SPECIAL_TOKENS)) < PARAM_CEILING
-    config = write_config(fixture_corpus, encoder=_MANY_BLOCKS)
-    argv = [command, "--config", str(config)]
-    if command == "encode":
-        (fixture_corpus / "input.txt").write_text("target 0 variant 1\n", encoding="utf-8")
-        argv += ["--input", str(fixture_corpus / "input.txt"),
-                 "--output", str(fixture_corpus / "emb.tsv")]
-    files = _file_bytes(fixture_corpus)
-    assert _main_under_alarm(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    tensors = 12 * 10**8 + 3  # the embedding, 12 a block and the LSTM's two
-    assert f"100000000 blocks make {tensors} tensors, over the ceiling of {TENSOR_CEILING}" in err
-    assert _file_bytes(fixture_corpus) == files
-
-
-def test_tensor_count_at_the_ceiling_loads(tmp_path, monkeypatch):
-    """Three lstm-pooled blocks name 39 tensors: the embedding, 12 a block
-    and the LSTM's two."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"encoder": {"num_blocks": 3}}), encoding="utf-8")
-    assert len(param_shapes(load_run_config(path).encoder, len(SPECIAL_TOKENS))) == 39
-    monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 39)
-    assert load_run_config(path).encoder.num_blocks == 3
-    monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 38)
-    with pytest.raises(ConfigError, match="3 blocks make 39 tensors, over the ceiling of 38"):
-        load_run_config(path)
-
-
 def test_smallest_encoder_at_the_ceiling_loads(tmp_path, monkeypatch):
     """The load-time bound counts the model of a vocabulary of the special
     tokens alone: exactly the ceiling loads, one more parameter does not."""
@@ -737,16 +699,97 @@ def test_smallest_encoder_at_the_ceiling_loads(tmp_path, monkeypatch):
         load_run_config(path)
 
 
-def test_smallest_probe_at_the_ceiling_loads(tmp_path, monkeypatch):
-    """The smallest probe has one input and one output: 3 * hidden + 1 values."""
-    path = tmp_path / "config.json"
-    encoder = {"embed_dim": 1, "num_blocks": 0, "pooling": "mean"}  # 2 parameters
-    path.write_text(json.dumps({"encoder": encoder, "eval": {"hidden": 40}}), encoding="utf-8")
-    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 121)
-    assert load_run_config(path).eval.hidden == 40
-    monkeypatch.setattr(sentenc.encoder, "PARAM_CEILING", 120)
-    with pytest.raises(ConfigError, match="121 parameters in the smallest probe"):
-        load_run_config(path)
+def _leaf_paths(cls, path=()):
+    """The path in a config document of each field of dataclass `cls` that
+    is not a section, and of each field of the first entry of a list of
+    sections (eval.tasks[0])."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            yield from _leaf_paths(hint, (*path, f.name))
+            continue
+        yield (*path, f.name)
+        if typing.get_origin(hint) is list and dataclasses.is_dataclass(typing.get_args(hint)[0]):
+            yield from _leaf_paths(typing.get_args(hint)[0], (*path, f.name, 0))
+
+
+def _key(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+# a run config whose every section is present; relative paths, read from the
+# test's directory. Each source has two targets, so mining pairs each target
+# once and no batch holds a duplicate positive.
+_SWEEP_CONFIG = {
+    "seed": 3,
+    "min_count": 1,
+    "paths": {"corpus_tsv": "corpus.tsv"},
+    "mining": {"threshold": 0.0},
+    "filter_encoder": {"dimension": 16},
+    "encoder": {"embed_dim": 4, "num_blocks": 1, "ffn_dim": 4, "pooling": "lstm",
+                "lstm_hidden": 4, "max_len": 8},
+    "training": {"batch_size": 4, "epochs": 1},
+    "eval": {"tasks": [{**_TASK, "train": "t.tsv", "validation": "t.tsv", "test": "t.tsv"}],
+             "lambda_grid": [0.01], "hidden": 4},
+}
+
+# null, numbers around each kind of bound, a size far beyond a 47-bit address
+# space (a missing guard fails at once instead of allocating), and each other
+# JSON type
+_SWEEP_VALUES = [None, 0, -1, 1, 0.5, 2**50, "x", "", [], {}, True]
+
+_LABELS = {cls.exit_code: cls.label for cls in (SentencError, ConfigError, DivergenceError)}
+
+
+def _file_states(directory):
+    """Every file under `directory` with its inode, mtime and bytes, so a
+    file replaced by one of the same bytes also counts as changed."""
+    return {str(p.relative_to(directory)): (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=_key(p)) for p in _leaf_paths(RunConfig)])
+def test_every_leaf_value_exits_0_to_3_with_one_line(tmp_path, monkeypatch, capsys, path):
+    """Each leaf set to each value, one at a time, through every command: a
+    command exits 0 with nothing on stderr, or 1-3 with exactly one
+    `<label>: ...` line, no traceback, and no file created or changed."""
+    monkeypatch.chdir(tmp_path)
+    lines = [f"source {s}\ttarget {s} side {t}" for s in range(6) for t in range(2)]
+    (tmp_path / "corpus.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [f"{('even', 'odd')[i % 2]}\ttarget {i} side {i % 2}" for i in range(6)]
+    (tmp_path / "t.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "input.txt").write_text("target 0 side 1\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(_SWEEP_CONFIG), encoding="utf-8")
+    argvs = {command: [command, "--config", "config.json"] for command in ("mine", "train", "eval")}
+    argvs["encode"] = ["encode", "--config", "config.json", "--input", "input.txt",
+                       "--output", "emb.tsv"]
+    # pairs.tsv and model.json, so each command has its input whether or not
+    # the commands before it succeed
+    for command in ("mine", "train"):
+        assert main(argvs[command]) == 0
+    template = _file_bytes(tmp_path)
+    for value in _SWEEP_VALUES:
+        for name in _file_bytes(tmp_path).keys() - template.keys():
+            (tmp_path / name).unlink()
+        for name, data in template.items():
+            (tmp_path / name).write_bytes(data)
+        doc = json.loads(json.dumps(_SWEEP_CONFIG))
+        functools.reduce(lambda node, step: node[step], path[:-1], doc)[path[-1]] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        for command in ("mine", "train", "encode", "eval"):
+            before = _file_states(tmp_path)
+            code = _main_under_alarm(argvs[command])
+            err = capsys.readouterr().err
+            case = f"{_key(path)} {value!r} {command}: exit {code}, stderr {err!r}"
+            if code == 0:
+                assert err == "", case
+            else:
+                assert code in _LABELS, case
+                assert err.startswith(f"{_LABELS[code]}: ") and err.count("\n") == 1, case
+                assert err.endswith("\n") and "Traceback" not in err, case
+                assert _file_states(tmp_path) == before, case
 
 
 SYNTHETIC_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_pipeline.py"
@@ -878,6 +921,24 @@ class TestTrainCommand:
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert (fixture_corpus / "model.json").read_bytes() == checkpoint
         assert list(fixture_corpus.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("loss_csv", ["", "nodir/loss.csv", "adir"])
+    def test_unwritable_loss_csv_changes_no_file(self, fixture_corpus, monkeypatch, capsys,
+                                                 loss_csv):
+        """The loss file is opened before step 1 and replaced after the
+        checkpoint, so a train that cannot write it leaves model.json as it was."""
+        monkeypatch.chdir(fixture_corpus)
+        (fixture_corpus / "adir").mkdir()
+        config = write_config(fixture_corpus)
+        assert main(["mine", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        config = write_config(fixture_corpus, paths={"loss_csv": loss_csv})
+        files = _file_states(fixture_corpus)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: cannot write") and err.count("\n") == 1
+        assert _file_states(fixture_corpus) == files
 
     @pytest.mark.parametrize("key", ["embed_dim", "lstm_hidden", "ffn_dim"])
     def test_oversized_width_exits_2_before_allocating(self, fixture_corpus, capsys, key):
@@ -1140,13 +1201,18 @@ def _integer_token(doc, text):
     return json.dumps(doc)
 
 
-# more blocks than a checkpoint's parameter bytes could hold
-HUGE_BLOCKS = 10**8
+# the most blocks a config declares, far more than 24 parameter bytes hold
+HUGE_BLOCKS = 2**15
 
 
 def _huge_block_count(doc, text):
     doc["config"]["num_blocks"] = HUGE_BLOCKS
     doc["params"] = _b64(np.zeros(3))
+    return json.dumps(doc)
+
+
+def _block_count_out_of_range(doc, text):
+    doc["config"]["num_blocks"] = 10**8
     return json.dumps(doc)
 
 
@@ -1171,8 +1237,11 @@ class TestBadCheckpoint:
             pytest.param(_repeated_key, "key 'max_len' is repeated", id="repeated_key"),
             pytest.param(_integer_token, "vocabulary tokens must be a list of distinct strings",
                          id="integer_token"),
-            pytest.param(_huge_block_count, "100000000 blocks in 24 parameter bytes",
+            pytest.param(_huge_block_count, "24 parameter bytes; the model needs",
                          id="huge_block_count"),
+            pytest.param(_block_count_out_of_range,
+                         f"encoder.num_blocks 100000000 must be <= {HUGE_BLOCKS}",
+                         id="block_count_out_of_range"),
         ],
     )
     def test_exits_1_with_one_line(self, fixture_corpus, capsys, monkeypatch, command, corrupt,
@@ -1205,7 +1274,7 @@ class TestBadCheckpoint:
         assert "Traceback" not in err
         assert err.startswith("I/O error:") and err.count("\n") == 1
         assert message in err
-        assert HUGE_BLOCKS not in laid_out
+        assert not {HUGE_BLOCKS, 10**8} & set(laid_out)
 
 
 _EVEN = ["even"] * 30
@@ -1254,7 +1323,7 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"exceed the ceiling of {PARAM_CEILING}" in err
+        assert f"eval.hidden {2**50} must be <= {(PARAM_CEILING - 1) // 3}" in err
         assert _file_bytes(fixture_corpus) == files
 
     @pytest.mark.parametrize("l2", [1e200, 1e308])

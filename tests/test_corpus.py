@@ -157,6 +157,16 @@ class TestWritePairs:
         with pytest.raises(CorpusError):
             write_pairs([], tmp_path / "no" / "such" / "dir.tsv")
 
+    @pytest.mark.parametrize("path", ["", "sub/", "sub", "sub/inner/"])
+    def test_path_os_replace_cannot_take_is_refused_before_writing(
+        self, tmp_path, monkeypatch, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub" / "inner").mkdir(parents=True)
+        with pytest.raises(CorpusError, match=f"cannot write {path!r}: not a path to a file"):
+            write_pairs([ParaphrasePair("a", "b")], path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["inner", "sub"]
+
     @given(st.lists(st.tuples(breaking_text, breaking_text), max_size=10))
     @example([("a\tb\rc", "d\x0ce\u2028f"), ("\t lead", "trail \r\n")])
     def test_sides_written_as_reference_sanitizer(self, tmp_path_factory, raw):

@@ -668,19 +668,25 @@ class TestCheckpoint:
         texts = ["the cat sat", "a dog ran high", "", "birds fly", "xylophone now"]
         assert np.array_equal(encode(texts, loaded), encode(texts, model))
 
-    def test_tensor_count_over_the_ceiling_is_refused_before_shapes(self, tmp_path, monkeypatch):
+    def test_block_count_beyond_the_bytes_is_refused_before_shapes(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
-        save_model(tiny_model(pooling="lstm"), path)  # 15 tensors
-        monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 15)
-        assert len(load_model(path).params) == 15
-        monkeypatch.setattr(sentenc.encoder, "TENSOR_CEILING", 14)
+        save_model(tiny_model(pooling="lstm"), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         laid_out = []  # the block counts load_model asks param_shapes for
         shapes = sentenc.encoder.param_shapes
         monkeypatch.setattr(sentenc.encoder, "param_shapes",
                             lambda cfg, size: laid_out.append(cfg.num_blocks) or shapes(cfg, size))
-        with pytest.raises(EncoderError, match="1 blocks make 15 tensors, over the ceiling of 14"):
+        doc["config"]["num_blocks"] = 2**15  # the most the range allows
+        doc["params"] = base64.b64encode(bytes(24)).decode("ascii")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(EncoderError, match="24 parameter bytes; the model needs"):
             load_model(path)
-        assert laid_out == [0]  # only the blockless count, no block named
+        assert laid_out == [0]  # only param_count's blockless shapes, no block named
+        doc["config"]["num_blocks"] = 10**8
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(EncoderError, match="encoder.num_blocks 100000000 must be <= 32768"):
+            load_model(path)
+        assert laid_out == [0]
 
     def test_loaded_tensors_are_writable_views_of_flat(self, tmp_path):
         path = tmp_path / "model.json"
